@@ -11,8 +11,8 @@
 //   2. the BURSTQ_THREADS environment variable,
 //   3. std::thread::hardware_concurrency(),
 // and is never below 1.  Every ThreadPool / parallel_for call that passes
-// threads == 0 picks up the resolved value, so one flag governs MapCal
-// cold builds, experiment fan-out, and the sharded placement engine alike.
+// threads == 0 picks up the resolved value, so one flag governs
+// experiment fan-out and the sharded placement engine alike.
 
 #pragma once
 

@@ -73,14 +73,22 @@ std::string SnapshotStore::wal_path(std::size_t slot) const {
 
 void SnapshotStore::write_snapshot(std::size_t slot,
                                    const std::string& blob) {
-  std::string file;
-  file.append(kSnapMagic, sizeof kSnapMagic);
-  file.push_back(static_cast<char>(kSnapVersion));
-  file.append(3, '\0');
-  obs::trace_detail::put_u64(file, slot);
-  obs::trace_detail::put_u64(file, blob.size());
-  obs::trace_detail::put_u32(file, obs::trace_detail::crc32(blob));
-  file += blob;
+  const std::string_view parts[] = {blob};
+  write_snapshot(slot, parts, obs::trace_detail::crc32(blob));
+}
+
+void SnapshotStore::write_snapshot(
+    std::size_t slot, std::span<const std::string_view> blob_parts,
+    std::uint32_t blob_crc) {
+  std::uint64_t blob_len = 0;
+  for (const std::string_view part : blob_parts) blob_len += part.size();
+  std::string header;
+  header.append(kSnapMagic, sizeof kSnapMagic);
+  header.push_back(static_cast<char>(kSnapVersion));
+  header.append(3, '\0');
+  obs::trace_detail::put_u64(header, slot);
+  obs::trace_detail::put_u64(header, blob_len);
+  obs::trace_detail::put_u32(header, blob_crc);
 
   const std::string final_path = snapshot_path(slot);
   const std::string tmp_path = final_path + ".tmp";
@@ -88,9 +96,13 @@ void SnapshotStore::write_snapshot(std::size_t slot,
     std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
     BURSTQ_REQUIRE(out != nullptr,
                    "cannot create snapshot tmp file: " + tmp_path);
-    const bool ok =
-        std::fwrite(file.data(), 1, file.size(), out) == file.size() &&
-        std::fflush(out) == 0;
+    bool ok =
+        std::fwrite(header.data(), 1, header.size(), out) == header.size();
+    for (const std::string_view part : blob_parts)
+      if (!part.empty())
+        ok = ok &&
+             std::fwrite(part.data(), 1, part.size(), out) == part.size();
+    ok = ok && std::fflush(out) == 0;
 #if !defined(_WIN32)
     if (ok && fsync_) {
       ::fsync(::fileno(out));
@@ -102,7 +114,8 @@ void SnapshotStore::write_snapshot(std::size_t slot,
   }
   fs::rename(tmp_path, final_path);
   BURSTQ_COUNT("durable.snapshot.writes", 1);
-  BURSTQ_GAUGE("durable.snapshot.bytes", static_cast<double>(file.size()));
+  BURSTQ_GAUGE("durable.snapshot.bytes",
+               static_cast<double>(header.size() + blob_len));
 }
 
 SnapshotStore::Loaded SnapshotStore::load_file(const std::string& path) {

@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace burstq::durable {
@@ -28,6 +30,15 @@ class SnapshotStore {
 
   /// Atomically writes snap-<slot>.bqss.
   void write_snapshot(std::size_t slot, const std::string& blob);
+
+  /// The same file for a blob held in pieces, written in order without
+  /// joining them.  `blob_crc` must be crc32 of the concatenation: a
+  /// caller that keeps a running CRC of a long append-only piece
+  /// (obs::trace_detail::crc32_update / crc32_combine) checksums only
+  /// what changed.  A wrong value makes the file fail to load.
+  void write_snapshot(std::size_t slot,
+                      std::span<const std::string_view> blob_parts,
+                      std::uint32_t blob_crc);
 
   struct Loaded {
     std::size_t slot{0};

@@ -44,7 +44,18 @@ class StateWriter {
     varint(v.size());
     for (const double x : v) f64(x);
   }
+  /// Count, then the bytes verbatim: the same bytes as varint(size)
+  /// followed by u8() per element, in one append.
+  void u8_vec(const std::vector<std::uint8_t>& v) {
+    varint(v.size());
+    buf_.append(reinterpret_cast<const char*>(v.data()), v.size());
+  }
+  /// Appends bytes another StateWriter already encoded.
+  void raw(std::string_view bytes) { buf_.append(bytes.data(), bytes.size()); }
+  /// Empties the stream but keeps its capacity for the next encode.
+  void clear() { buf_.clear(); }
 
+  std::size_t size() const { return buf_.size(); }
   const std::string& data() const { return buf_; }
   std::string take() { return std::move(buf_); }
 

@@ -83,11 +83,25 @@ void SloTracker::record(PmId pm, bool violated) {
   cur_[pm.value] = violated ? kViolated : kOk;
 }
 
+void SloTracker::record_slot(std::span<const std::size_t> active,
+                             std::span<const std::size_t> violated) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::size_t j : active) {
+    BURSTQ_REQUIRE(j < cur_.size(), "SloTracker: PM index out of range");
+    cur_[j] = kOk;
+  }
+  for (const std::size_t j : violated) {
+    BURSTQ_REQUIRE(j < cur_.size(), "SloTracker: PM index out of range");
+    cur_[j] = kViolated;
+  }
+}
+
 void SloTracker::end_slot() {
   std::lock_guard<std::mutex> lock(mu_);
   const std::size_t ring_pos = slots_ % opt_.fast_window;
   std::uint32_t slot_obs = 0;
   std::uint32_t slot_viol = 0;
+  double worst = 0.0;
   for (std::size_t j = 0; j < cur_.size(); ++j) {
     PerPm& p = pms_[j];
     // Retire the state leaving this PM's fast-window ring.
@@ -109,6 +123,7 @@ void SloTracker::end_slot() {
       }
     }
     cur_[j] = kUnobserved;
+    worst = std::max(worst, ratio(p.violated, p.observed));
   }
 
   // Cluster rings: the fast window is the most recent suffix of the slow
@@ -136,9 +151,6 @@ void SloTracker::end_slot() {
   const double slow_cvr = ratio(slow_viol_, slow_obs_);
   const double fast_burn = burn(fast_cvr);
   const double slow_burn = burn(slow_cvr);
-  double worst = 0.0;
-  for (const PerPm& p : pms_)
-    worst = std::max(worst, ratio(p.violated, p.observed));
 
   BURSTQ_GAUGE("slo.cvr.fast", fast_cvr);
   BURSTQ_GAUGE("slo.cvr.slow", slow_cvr);
@@ -209,6 +221,12 @@ SloReport SloTracker::report() const {
     r.pms.push_back(s);
   }
   return r;
+}
+
+SloBurnRates SloTracker::burn_rates() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return SloBurnRates{burn(ratio(fast_viol_, fast_obs_)),
+                      burn(ratio(slow_viol_, slow_obs_))};
 }
 
 std::size_t SloTracker::n_pms() const { return pms_.size(); }

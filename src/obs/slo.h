@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,12 @@ struct SloEpisode {
   bool open{false};
   double peak_fast_burn{0.0};
   double peak_slow_burn{0.0};
+};
+
+/// The two alerting signals alone, without building a full SloReport.
+struct SloBurnRates {
+  double fast{0.0};  ///< == SloReport::fast.burn
+  double slow{0.0};  ///< == SloReport::slow.burn
 };
 
 struct SloReport {
@@ -127,11 +134,20 @@ class SloTracker {
   /// per slot (later calls overwrite).
   void record(PmId pm, bool violated);
 
+  /// Records a whole slot under one lock: every PM in `active` was
+  /// observed, those also in `violated` violated.  The same as record()
+  /// per active PM.
+  void record_slot(std::span<const std::size_t> active,
+                   std::span<const std::size_t> violated);
+
   /// Closes the current slot: advances every window, publishes the burn
   /// gauges, and updates breach-episode state.
   void end_slot();
 
   [[nodiscard]] SloReport report() const;
+  /// The fast and slow burn rates report() would return, without the
+  /// per-PM vector — cheap enough to read every slot.
+  [[nodiscard]] SloBurnRates burn_rates() const;
   [[nodiscard]] const SloOptions& options() const { return opt_; }
   [[nodiscard]] std::size_t n_pms() const;
   [[nodiscard]] std::size_t slots() const;

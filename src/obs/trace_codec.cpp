@@ -19,25 +19,95 @@ bool get_f64(std::string_view data, std::size_t& pos, double& v) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// tables[0] is the classic bytewise table; tables[k][n] is the CRC of
+/// byte n followed by k zero bytes, so eight bytes fold in one step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[n] = c;
+    t[0][n] = c;
+  }
+  for (std::uint32_t n = 0; n < 256; ++n)
+    for (std::size_t k = 1; k < t.size(); ++k)
+      t[k][n] = t[0][t[k - 1][n] & 0xFF] ^ (t[k - 1][n] >> 8);
+  return t;
+}
+
+/// Little-endian 32-bit load, independent of host byte order.
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+std::uint32_t crc32_update(std::uint32_t crc, std::string_view data) {
+  static const CrcTables t = make_crc_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32(std::string_view data) { return crc32_update(0, data); }
+
+namespace {
+
+// CRC arithmetic in GF(2)[x] modulo the (reflected) CRC-32 polynomial:
+// bit 31 holds the x^0 coefficient.
+
+constexpr std::uint32_t kPoly = 0xEDB88320u;
+
+/// a * b mod P.
+std::uint32_t mult_mod_p(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1) != 0 ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return product;
+}
+
+/// x^(2^k) mod P for every k a 64-bit byte count can reach (3 + 63):
+/// each entry squares the previous one.
+using X2nTable = std::array<std::uint32_t, 67>;
+
+X2nTable make_x2n_table() {
+  X2nTable table{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (std::uint32_t& entry : table) {
+    entry = p;
+    p = mult_mod_p(p, p);
   }
   return table;
 }
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : data)
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) {
+  // Appending len_b bytes multiplies crc_a's polynomial by x^(8 len_b);
+  // the init/final inversions of the two halves cancel in the xor.
+  static const X2nTable x2n = make_x2n_table();
+  std::uint32_t shift = 1u << 31;  // x^0
+  std::size_t k = 3;               // x^(2^3) = x^8: one byte
+  for (std::uint64_t n = len_b; n != 0; n >>= 1, ++k)
+    if ((n & 1) != 0) shift = mult_mod_p(x2n[k], shift);
+  return mult_mod_p(shift, crc_a) ^ crc_b;
 }
 
 namespace {

@@ -29,6 +29,21 @@ inline void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes `v` as an LEB128 varint at `out`, which must have room for
+/// kMaxVarintBytes; returns one past the last byte written.  For bulk
+/// encoders that size a buffer once instead of growing a string.
+inline char* put_varint(char* out, std::uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<char>((v & 0x7F) | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<char>(v);
+  return out;
+}
+
 /// Reads a varint at `pos`, advancing it.  Returns false on truncation
 /// or a varint longer than 10 bytes.
 inline bool get_varint(std::string_view data, std::size_t& pos,
@@ -58,8 +73,10 @@ constexpr std::int64_t unzigzag(std::uint64_t v) noexcept {
 // ---- fixed-width little-endian scalars -------------------------------
 
 inline void put_u32(std::string& out, std::uint32_t v) {
+  char bytes[4];
   for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out.append(bytes, sizeof bytes);
 }
 
 inline bool get_u32(std::string_view data, std::size_t& pos,
@@ -73,8 +90,10 @@ inline bool get_u32(std::string_view data, std::size_t& pos,
 }
 
 inline void put_u64(std::string& out, std::uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out.append(bytes, sizeof bytes);
 }
 
 inline bool get_u64(std::string_view data, std::size_t& pos,
@@ -96,7 +115,20 @@ bool get_f64(std::string_view data, std::size_t& pos, double& v);
 
 /// CRC-32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) — the same
 /// polynomial zlib and PNG use, computed table-free-of-deps in-tree.
+/// Slicing-by-8: eight table lookups per 8-byte word, identical values
+/// to the bytewise definition.
 std::uint32_t crc32(std::string_view data);
+
+/// Continues a CRC over more bytes: crc32_update(crc32(a), b) ==
+/// crc32(a + b), and crc32_update(0, b) == crc32(b).
+std::uint32_t crc32_update(std::uint32_t crc, std::string_view data);
+
+/// The CRC of a concatenation from the CRCs of its halves:
+/// crc32_combine(crc32(a), crc32(b), b.size()) == crc32(a + b), in
+/// O(log b.size()) time without reading b — so a checksum over a long
+/// append-only stream plus a little fresh data costs only the fresh data.
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b);
 
 // ---- block compression -----------------------------------------------
 

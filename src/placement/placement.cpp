@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 
@@ -77,14 +78,9 @@ void Placement::unassign(VmId vm) {
   }
 }
 
-PmId Placement::pm_of(VmId vm) const {
-  BURSTQ_REQUIRE(vm.value < pm_of_.size(), "VM index out of range");
-  return pm_of_[vm.value];
-}
-
-const std::vector<std::size_t>& Placement::vms_on(PmId pm) const {
-  BURSTQ_REQUIRE(pm.value < vms_on_.size(), "PM index out of range");
-  return vms_on_[pm.value];
+void Placement::throw_out_of_range(const char* accessor, const char* what) {
+  detail::throw_invalid(std::string(accessor) + ": requirement failed: " +
+                        what + " index out of range");
 }
 
 Resource Placement::rb_sum_on(PmId pm) const {

@@ -57,14 +57,21 @@ class Placement {
   /// rescan).  Note the swap reorders vms_on(pm).
   void unassign(VmId vm);
 
-  /// PM hosting `vm`; invalid Id when unassigned.
-  [[nodiscard]] PmId pm_of(VmId vm) const;
+  /// PM hosting `vm`; invalid Id when unassigned.  Inline: the slot
+  /// loop reads it for every VM every slot.
+  [[nodiscard]] PmId pm_of(VmId vm) const {
+    if (vm.value >= pm_of_.size()) throw_out_of_range("pm_of", "VM");
+    return pm_of_[vm.value];
+  }
 
   [[nodiscard]] bool assigned(VmId vm) const { return pm_of(vm).valid(); }
 
   /// Indices of VMs currently on `pm`.  Assignment order until the first
   /// unassign on that PM; swap-removal may reorder afterwards.
-  [[nodiscard]] const std::vector<std::size_t>& vms_on(PmId pm) const;
+  [[nodiscard]] const std::vector<std::size_t>& vms_on(PmId pm) const {
+    if (pm.value >= vms_on_.size()) throw_out_of_range("vms_on", "PM");
+    return vms_on_[pm.value];
+  }
 
   [[nodiscard]] std::size_t count_on(PmId pm) const {
     return vms_on(pm).size();
@@ -85,6 +92,10 @@ class Placement {
     return inst_ == &inst;
   }
 
+  /// True when this placement maintains per-PM aggregates for some
+  /// instance (PlacementState::bound).
+  [[nodiscard]] bool bound() const { return inst_ != nullptr; }
+
   /// Cached sum of Rb on `pm`.  Requires a bound placement.  Equals the
   /// walk-based sum bit-for-bit as long as no VM was unassigned from the
   /// PM; after churn it may differ by floating-point association noise.
@@ -103,6 +114,9 @@ class Placement {
 
  private:
   void init(std::size_t n_vms, std::size_t n_pms);
+  /// Cold path of the inline accessors: throws InvalidArgument.
+  [[noreturn]] static void throw_out_of_range(const char* accessor,
+                                              const char* what);
 
   const ProblemInstance* inst_{nullptr};
   std::vector<PmId> pm_of_;

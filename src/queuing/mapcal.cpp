@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/error.h"
-#include "common/parallel.h"
 #include "obs/obs.h"
 
 namespace burstq {
@@ -61,10 +60,6 @@ struct TableKeyHash {
     return h;
   }
 };
-
-/// Below this d the per-k solves are too small to amortize thread spawns;
-/// build serially.
-constexpr std::size_t kParallelBuildThreshold = 8;
 
 std::atomic<bool>& solver_fault_flag() {
   static std::atomic<bool> enabled{false};
@@ -180,16 +175,15 @@ std::shared_ptr<const MapCalTable::Data> MapCalTable::lookup_or_build(
   data->method = method;
   data->blocks.resize(max_vms_per_pm + 1, 0);
   data->cvr_bounds.resize(max_vms_per_pm + 1, 0.0);
-  const auto solve_one = [&](std::size_t i) {
-    const std::size_t k = i + 1;
+  // Serial on purpose: each solve emits its `mapcal` event and span
+  // events, so the build runs them in k order on the calling thread for
+  // the trace to be the same on every core count.  A thread fan-out saves
+  // well under a millisecond at the default d = 16, once per setting.
+  for (std::size_t k = 1; k <= max_vms_per_pm; ++k) {
     const MapCalResult r = map_cal(k, params, rho, method);
     data->blocks[k] = r.blocks;
     data->cvr_bounds[k] = r.cvr_bound;
-  };
-  if (max_vms_per_pm >= kParallelBuildThreshold)
-    parallel_for(max_vms_per_pm, solve_one);
-  else
-    for (std::size_t i = 0; i < max_vms_per_pm; ++i) solve_one(i);
+  }
 
   std::lock_guard lock(table_cache_mutex());
   const auto [it, inserted] =

@@ -15,8 +15,9 @@
 // constructing a table for a setting that was already solved reuses the
 // immutable precomputed data (zero new stationary solves — benches, sweeps
 // and the online consolidator stop re-solving identical chains), and
-// uncached builds fan the per-k solves out over parallel_for.  Copying a
-// MapCalTable is a shared_ptr copy.
+// uncached builds solve k = 1..d serially on the calling thread so their
+// trace events come out in k order.  Copying a MapCalTable is a
+// shared_ptr copy.
 
 #pragma once
 

@@ -13,6 +13,39 @@
 
 namespace burstq {
 
+namespace {
+
+/// One closed slot's observation as snapshots store it.
+void encode_observation(durable::StateWriter& w, const SlotObservation& ob) {
+  w.size_vec(*ob.active);
+  w.size_vec(*ob.violated);
+  w.varint(ob.migrations);
+  w.varint(ob.failed_migrations);
+  w.varint(ob.pms_used);
+  w.f64(ob.fast_burn);
+  w.f64(ob.slow_burn);
+}
+
+/// Reads the next encode_observation() record of slot `t` into `ob`,
+/// whose id lists point at `active` and `violated`.
+void decode_observation(durable::StateReader& r, std::size_t t,
+                        std::vector<std::size_t>& active,
+                        std::vector<std::size_t>& violated,
+                        SlotObservation& ob) {
+  active = r.size_vec();
+  violated = r.size_vec();
+  ob.t = t;
+  ob.active = &active;
+  ob.violated = &violated;
+  ob.migrations = r.varint();
+  ob.failed_migrations = r.varint();
+  ob.pms_used = r.varint();
+  ob.fast_burn = r.f64();
+  ob.slow_burn = r.f64();
+}
+
+}  // namespace
+
 void SimConfig::validate() const {
   BURSTQ_REQUIRE(slots > 0, "simulation needs at least one slot");
   BURSTQ_REQUIRE(sigma_seconds > 0.0, "slot length must be positive");
@@ -92,10 +125,8 @@ ClusterSimulator::ClusterSimulator(const ProblemInstance& inst,
 
   tracker_.emplace(inst.n_pms(), config_.policy.cvr_window);
   meter_.emplace(config_.power, config_.sigma_seconds);
-  if (config_.durability) {
+  if (config_.durability)
     store_.emplace(config_.durability->dir, config_.durability->fsync);
-    history_.reserve(config_.slots);
-  }
   // Last: its sim.config event must be the final ctor-time emission so a
   // restore's log rewind lands right past it.
   recorder_.emplace("cluster_sim", inst.n_pms(), config_.slots,
@@ -226,12 +257,21 @@ SimReport ClusterSimulator::run() {
 
   std::vector<std::size_t> obs_active;
   std::vector<std::size_t> obs_violated;
+  // Per-PM VM counts for the observed-load target search: refilled once
+  // per slot, then kept current by every migration the scheduler makes.
+  std::vector<std::size_t> counts;
+  const bool count_targets =
+      config_.enable_migration &&
+      config_.policy.target != TargetSelection::kReservationAware;
+  if (count_targets) counts.resize(m);
+  std::vector<std::uint8_t> copy_source(m, 0);
 
   // The harness observer needs the per-slot id lists even when no
   // detail-level trace sink is open; so do durable snapshots (the
-  // observation history is part of the state).
+  // observation history is part of the state) and the SLO tracker, which
+  // takes each slot's verdicts in one call.
   const bool observe = recorder.enabled() || config_.on_slot != nullptr ||
-                       store_.has_value();
+                       store_.has_value() || config_.slo != nullptr;
 
   for (std::size_t t = start_slot_; t < config_.slots; ++t) {
     BURSTQ_SPAN("sim.slot");
@@ -289,14 +329,16 @@ SimReport ClusterSimulator::run() {
       const bool violated =
           load[j] > capacity[j] * (1.0 + kCapacityEpsilon);
       tracker.record(PmId{j}, violated);
-      if (config_.slo != nullptr) config_.slo->record(PmId{j}, violated);
       if (violated) ++violations_this_slot;
       if (observe) {
         obs_active.push_back(j);
         if (violated) obs_violated.push_back(j);
       }
     }
-    if (config_.slo != nullptr) config_.slo->end_slot();
+    if (config_.slo != nullptr) {
+      config_.slo->record_slot(obs_active, obs_violated);
+      config_.slo->end_slot();
+    }
     recorder.slot(t, obs_active, obs_violated);
     BURSTQ_COUNT("sim.slot_violations", violations_this_slot);
 
@@ -304,6 +346,9 @@ SimReport ClusterSimulator::run() {
     // CVR breaches rho.
     std::size_t migrations_this_slot = 0;
     const std::size_t failed_before = report.failed_migrations;
+    if (count_targets)
+      for (std::size_t p = 0; p < m; ++p)
+        counts[p] = placement_.count_on(PmId{p});
     if (config_.enable_migration) {
       for (std::size_t j = 0; j < m; ++j) {
         const PmId source{j};
@@ -332,9 +377,6 @@ SimReport ClusterSimulator::run() {
             }
           }
         } else {
-          std::vector<std::size_t> counts(m);
-          for (std::size_t p = 0; p < m; ++p)
-            counts[p] = placement_.count_on(PmId{p});
           target = select_target(source, vdemand, load, capacity, counts,
                                  config_.policy.max_vms_per_pm, up);
         }
@@ -342,6 +384,10 @@ SimReport ClusterSimulator::run() {
         if (target) {
           placement_.unassign(*victim);
           placement_.assign(*victim, *target);
+          if (count_targets) {
+            --counts[j];
+            ++counts[target->value];
+          }
           load[target->value] += vdemand;
           // Source keeps carrying the copy for cost_slots (>= 1) slots.
           in_flight_.push_back(
@@ -391,17 +437,16 @@ SimReport ClusterSimulator::run() {
       }
     }
 
-    // 5. usage + energy.
+    // 5. usage + energy.  A copy source stays powered until its copy
+    // completes; mark those once instead of scanning in_flight_ per PM.
+    for (const InFlight& f : in_flight_) copy_source[f.source_pm] = 1;
     std::size_t used = 0;
     for (std::size_t j = 0; j < m; ++j) {
-      const bool active =
-          placement_.count_on(PmId{j}) > 0 ||
-          std::any_of(in_flight_.begin(), in_flight_.end(),
-                      [j](const InFlight& f) { return f.source_pm == j; });
-      if (!active) continue;
+      if (placement_.count_on(PmId{j}) == 0 && copy_source[j] == 0) continue;
       ++used;
       meter.add_pm_slot(load[j] / capacity[j]);
     }
+    for (const InFlight& f : in_flight_) copy_source[f.source_pm] = 0;
     report.pms_used_timeline.push_back(used);
     report.migrations_per_slot.push_back(migrations_this_slot);
     report.pms_used_max = std::max(report.pms_used_max, used);
@@ -411,16 +456,10 @@ SimReport ClusterSimulator::run() {
     for (auto& f : in_flight_) --f.remaining;
     std::erase_if(in_flight_, [](const InFlight& f) { return f.remaining == 0; });
 
-    // 7. hand the closed slot to the harness observer.
-    double fast_burn = 0.0;
-    double slow_burn = 0.0;
-    if (config_.slo != nullptr &&
-        (config_.on_slot != nullptr || store_.has_value())) {
-      const obs::SloReport slo_rep = config_.slo->report();
-      fast_burn = slo_rep.fast.burn;
-      slow_burn = slo_rep.slow.burn;
-    }
-    if (config_.on_slot) {
+    // 7. hand the closed slot to the harness observer; 8. the slot is
+    // final: retain its observation for future snapshots and commit its
+    // journal group (during replay: verify instead).
+    if (config_.on_slot || store_) {
       SlotObservation ob;
       ob.t = t;
       ob.active = &obs_active;
@@ -428,18 +467,18 @@ SimReport ClusterSimulator::run() {
       ob.migrations = migrations_this_slot;
       ob.failed_migrations = report.failed_migrations - failed_before;
       ob.pms_used = used;
-      ob.fast_burn = fast_burn;
-      ob.slow_burn = slow_burn;
-      config_.on_slot(ob);
-    }
-
-    // 8. the slot is final: retain its observation for future snapshots
-    // and commit its journal group (during replay: verify instead).
-    if (store_) {
-      history_.push_back(StoredObs{obs_active, obs_violated,
-                                   migrations_this_slot,
-                                   report.failed_migrations - failed_before,
-                                   used, fast_burn, slow_burn});
+      if (config_.slo != nullptr) {
+        const obs::SloBurnRates burn = config_.slo->burn_rates();
+        ob.fast_burn = burn.fast;
+        ob.slow_burn = burn.slow;
+      }
+      if (config_.on_slot) config_.on_slot(ob);
+      if (store_) {
+        const std::size_t before = history_.size();
+        encode_observation(history_, ob);
+        history_crc_ = obs::trace_detail::crc32_update(
+            history_crc_, std::string_view(history_.data()).substr(before));
+      }
     }
     commit_slot(t);
   }
@@ -476,13 +515,19 @@ void ClusterSimulator::journal(durable::WalRecord type,
   if (wal_) wal_->append(type, std::move(payload));
 }
 
-std::uint32_t ClusterSimulator::placement_crc() const {
-  std::string buf;
-  for (std::size_t i = 0; i < inst_->n_vms(); ++i) {
+std::uint32_t ClusterSimulator::placement_crc() {
+  // Sized once for the longest encoding; only the written prefix is
+  // checksummed.
+  const std::size_t n = inst_->n_vms();
+  crc_buf_.resize(n * obs::trace_detail::kMaxVarintBytes);
+  char* const begin = crc_buf_.data();
+  char* end = begin;
+  for (std::size_t i = 0; i < n; ++i) {
     const PmId pm = placement_.pm_of(VmId{i});
-    obs::trace_detail::put_varint(buf, pm.valid() ? pm.value + 1 : 0);
+    end = obs::trace_detail::put_varint(end, pm.valid() ? pm.value + 1 : 0);
   }
-  return obs::trace_detail::crc32(buf);
+  return obs::trace_detail::crc32(
+      std::string_view(begin, static_cast<std::size_t>(end - begin)));
 }
 
 void ClusterSimulator::commit_slot(std::size_t t) {
@@ -506,16 +551,27 @@ void ClusterSimulator::maybe_checkpoint(std::size_t t) {
   // them again would truncate the very WAL being verified.
   if (t < replay_upto_) return;
   if (t % config_.durability->snapshot_every != 0) return;
-  const std::string blob = encode_state(t);
-  store_->write_snapshot(t, blob);
+  const std::size_t split = encode_state(t);
+  const std::string_view state(snapshot_.data());
+  const std::string_view head = state.substr(0, split);
+  const std::string_view tail = state.substr(split);
+  // Only the fresh head and tail are checksummed here: the history's CRC
+  // grew with it, one slot at a time.
+  namespace td = obs::trace_detail;
+  const std::uint32_t crc = td::crc32_update(
+      td::crc32_combine(td::crc32(head), history_crc_, history_.size()),
+      tail);
+  const std::string_view parts[] = {head, history_.data(), tail};
+  store_->write_snapshot(t, parts, crc);
   wal_ = std::make_unique<durable::WalWriter>(
       store_->wal_path(t), t, config_.durability->fsync);
   wal_base_slot_ = t;
   store_->prune(2);
 }
 
-std::string ClusterSimulator::encode_state(std::size_t t) {
-  durable::StateWriter w;
+std::size_t ClusterSimulator::encode_state(std::size_t t) {
+  durable::StateWriter& w = snapshot_;
+  w.clear();
   w.u64(1);  // blob version
   w.varint(t);
 
@@ -545,16 +601,25 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
     w.u8(static_cast<std::uint8_t>(c.state()));
   }
 
-  const PlacementState ps = placement_.export_state();
-  w.varint(ps.pm_of.size());
-  for (const PmId pm : ps.pm_of)
+  // PlacementState's layout, read in place rather than copied out.
+  const std::size_t n_vms = placement_.n_vms();
+  const std::size_t n_pms = placement_.n_pms();
+  w.varint(n_vms);
+  for (std::size_t i = 0; i < n_vms; ++i) {
+    const PmId pm = placement_.pm_of(VmId{i});
     w.varint(pm.valid() ? pm.value + 1 : 0);
-  w.varint(ps.vms_on.size());
-  for (const auto& list : ps.vms_on) w.size_vec(list);
-  w.boolean(ps.bound);
-  if (ps.bound) {
-    w.f64_vec(ps.rb_sum);
-    w.f64_vec(ps.re_max);
+  }
+  w.varint(n_pms);
+  for (std::size_t j = 0; j < n_pms; ++j)
+    w.size_vec(placement_.vms_on(PmId{j}));
+  w.boolean(placement_.bound());
+  if (placement_.bound()) {
+    w.varint(n_pms);
+    for (std::size_t j = 0; j < n_pms; ++j)
+      w.f64(placement_.rb_sum_on(PmId{j}));
+    w.varint(n_pms);
+    for (std::size_t j = 0; j < n_pms; ++j)
+      w.f64(placement_.re_max_on(PmId{j}));
   }
 
   w.varint(in_flight_.size());
@@ -569,8 +634,7 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
   for (const auto& pm : cs.pms) {
     w.varint(pm.observed);
     w.varint(pm.violated);
-    w.varint(pm.window.size());
-    for (const std::uint8_t b : pm.window) w.u8(b);
+    w.u8_vec(pm.window);
   }
 
   w.boolean(config_.slo != nullptr);
@@ -580,13 +644,11 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
     for (const auto& pm : ss.pms) {
       w.varint(pm.observed);
       w.varint(pm.violated);
-      w.varint(pm.ring.size());
-      for (const std::uint8_t b : pm.ring) w.u8(b);
+      w.u8_vec(pm.ring);
       w.varint(pm.ring_observed);
       w.varint(pm.ring_violated);
     }
-    w.varint(ss.cur.size());
-    for (const std::uint8_t b : ss.cur) w.u8(b);
+    w.u8_vec(ss.cur);
     w.varint(ss.cluster_ring.size());
     for (const auto& [o, v] : ss.cluster_ring) {
       w.u32(o);
@@ -633,8 +695,7 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
   if (injector_) {
     const fault::FaultInjectorState fs = injector_->export_state();
     for (const std::uint64_t s : fs.rng) w.u64(s);
-    w.varint(fs.up.size());
-    for (const std::uint8_t b : fs.up) w.u8(b);
+    w.u8_vec(fs.up);
     w.varint(fs.next_scripted);
     w.varint(fs.last_slot + 1);  // -1 sentinel encodes as 0
     w.varint(fs.solver_down_until);
@@ -663,16 +724,10 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
   w.boolean(recorder_->first());
   w.size_vec(recorder_->last_active());
 
-  w.varint(history_.size());
-  for (const StoredObs& h : history_) {
-    w.size_vec(h.active);
-    w.size_vec(h.violated);
-    w.varint(h.migrations);
-    w.varint(h.failed_migrations);
-    w.varint(h.pms_used);
-    w.f64(h.fast_burn);
-    w.f64(h.slow_burn);
-  }
+  // One observation per slot before t (restore checks the count).  The
+  // records themselves are history_, which belongs right here.
+  w.varint(t);
+  const std::size_t history_at = w.size();
 
   // Trace rewind point: the flight recorder's flushed byte position at
   // this exact instant (before any slot-t event).
@@ -686,7 +741,7 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
     w.varint(cp.blocks);
     w.varint(cp.next_id);
   }
-  return w.take();
+  return history_at;
 }
 
 ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
@@ -888,21 +943,18 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   const bool rec_first = r.boolean();
   recorder_->restore_state(rec_first, r.size_vec());
 
-  history_.clear();
   const std::size_t n_hist = r.varint();
   if (n_hist != slot) r.fail("observation history does not cover the run");
-  history_.reserve(config_.slots);
-  for (std::size_t i = 0; i < n_hist; ++i) {
-    StoredObs h;
-    h.active = r.size_vec();
-    h.violated = r.size_vec();
-    h.migrations = r.varint();
-    h.failed_migrations = r.varint();
-    h.pms_used = r.varint();
-    h.fast_burn = r.f64();
-    h.slow_burn = r.f64();
-    history_.push_back(std::move(h));
-  }
+  std::vector<std::size_t> hist_active;
+  std::vector<std::size_t> hist_violated;
+  SlotObservation hist_ob;
+  const std::size_t hist_begin = r.pos();
+  for (std::size_t i = 0; i < n_hist; ++i)
+    decode_observation(r, i, hist_active, hist_violated, hist_ob);
+  history_ = durable::StateWriter{};
+  history_.raw(std::string_view(loaded->blob)
+                   .substr(hist_begin, r.pos() - hist_begin));
+  history_crc_ = obs::trace_detail::crc32(history_.data());
 
   obs::EventLog::Checkpoint cp;
   cp.valid = r.boolean();
@@ -951,18 +1003,10 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
 
   // Rebuild the harness observer's accumulators for pre-snapshot slots.
   if (config_.on_slot) {
-    for (std::size_t i = 0; i < history_.size(); ++i) {
-      const StoredObs& h = history_[i];
-      SlotObservation ob;
-      ob.t = i;
-      ob.active = &h.active;
-      ob.violated = &h.violated;
-      ob.migrations = h.migrations;
-      ob.failed_migrations = h.failed_migrations;
-      ob.pms_used = h.pms_used;
-      ob.fast_burn = h.fast_burn;
-      ob.slow_burn = h.slow_burn;
-      config_.on_slot(ob);
+    durable::StateReader h(history_.data(), "observation history");
+    for (std::size_t i = 0; i < n_hist; ++i) {
+      decode_observation(h, i, hist_active, hist_violated, hist_ob);
+      config_.on_slot(hist_ob);
     }
   }
 

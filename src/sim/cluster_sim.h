@@ -27,6 +27,7 @@
 #include "common/rng.h"
 #include "durable/durable.h"
 #include "durable/snapshot.h"
+#include "durable/state_codec.h"
 #include "durable/wal.h"
 #include "fault/injector.h"
 #include "fault/recovery.h"
@@ -184,13 +185,16 @@ class ClusterSimulator {
   /// Writes a snapshot + rotates the WAL when slot `t` is a checkpoint
   /// boundary (top of slot, before any slot-t work).
   void maybe_checkpoint(std::size_t t);
-  /// Serializes the complete simulator state at the top of slot `t`.
-  [[nodiscard]] std::string encode_state(std::size_t t);
+  /// Serializes the simulator state at the top of slot `t` into
+  /// snapshot_, all but the observation history.  Returns the offset in
+  /// snapshot_ where the snapshot blob carries history_.
+  [[nodiscard]] std::size_t encode_state(std::size_t t);
   void journal(durable::WalRecord type, std::string payload);
   /// Frames + commits this slot's journal group; during replay verifies
   /// it byte-for-byte against the pre-kill WAL (divergence is loud).
   void commit_slot(std::size_t t);
-  [[nodiscard]] std::uint32_t placement_crc() const;
+  /// CRC of the VM -> PM mapping, stamped on every WAL group.
+  [[nodiscard]] std::uint32_t placement_crc();
   /// Applies this slot's faults: stalls and aborts in-flight copies,
   /// evacuates crashed PMs through the recovery controller, drains the
   /// admission queue.  Mutates placement_ and in_flight_.
@@ -245,18 +249,16 @@ class ClusterSimulator {
   std::vector<durable::WalGroup> verify_groups_;
   std::size_t replay_upto_{0};
 
-  /// Per-slot observations retained for snapshots: a restore re-fires
-  /// them through on_slot so harness accumulators rebuild exactly.
-  struct StoredObs {
-    std::vector<std::size_t> active;
-    std::vector<std::size_t> violated;
-    std::size_t migrations{0};
-    std::size_t failed_migrations{0};
-    std::size_t pms_used{0};
-    double fast_burn{0.0};
-    double slow_burn{0.0};
-  };
-  std::vector<StoredObs> history_;
+  /// Every closed slot's observation, encoded once when the slot closes
+  /// and written verbatim into each snapshot: a restore slices these
+  /// bytes back out and re-fires them through on_slot so harness
+  /// accumulators rebuild exactly.
+  durable::StateWriter history_;
+  std::uint32_t history_crc_{0};  ///< crc32(history_), kept as it grows
+  /// The rest of the snapshot blob; reused so each checkpoint encodes
+  /// into memory the previous one already touched.
+  durable::StateWriter snapshot_;
+  std::string crc_buf_;  ///< placement_crc() buffer, reused every slot
 };
 
 /// Convenience for the Figure 6 experiment: per-PM cumulative CVR of a

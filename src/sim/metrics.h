@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/error.h"
@@ -55,46 +54,30 @@ class CvrTracker {
   /// Largest cumulative CVR over all PMs.
   [[nodiscard]] double max_cvr() const;
 
-  [[nodiscard]] CvrTrackerState export_state() const {
-    CvrTrackerState st;
-    st.pms.reserve(total_.size());
-    for (const PerPm& pm : total_) {
-      CvrTrackerState::PerPm out;
-      out.observed = pm.observed;
-      out.violated = pm.violated;
-      // Element-wise (not assign()) — GCC 12's stringop-overflow analysis
-      // false-positives on deque<bool> -> vector<uint8_t> range copies.
-      out.window.reserve(pm.window.size());
-      for (const bool v : pm.window) out.window.push_back(v ? 1 : 0);
-      st.pms.push_back(std::move(out));
-    }
-    return st;
-  }
-
-  void import_state(const CvrTrackerState& st) {
-    BURSTQ_REQUIRE(st.pms.size() == total_.size(),
-                   "CvrTracker state PM count mismatch");
-    for (std::size_t i = 0; i < total_.size(); ++i) {
-      PerPm& pm = total_[i];
-      pm.observed = st.pms[i].observed;
-      pm.violated = st.pms[i].violated;
-      pm.window.clear();
-      pm.window_violations = 0;
-      for (const std::uint8_t v : st.pms[i].window) {
-        pm.window.push_back(v != 0);
-        if (v != 0) ++pm.window_violations;
-      }
-    }
-  }
+  [[nodiscard]] CvrTrackerState export_state() const;
+  /// Replaces every PM's counters and window.  A window longer than the
+  /// tracker's throws InvalidArgument.
+  void import_state(const CvrTrackerState& st);
 
  private:
   struct PerPm {
     std::size_t observed{0};
     std::size_t violated{0};
-    std::deque<bool> window;
+    std::size_t head{0};    ///< ring index of the oldest window slot
+    std::size_t filled{0};  ///< window slots held, <= window_size_
     std::size_t window_violations{0};
   };
+  [[nodiscard]] std::uint8_t* ring(std::size_t pm) {
+    return windows_.data() + pm * window_size_;
+  }
+  [[nodiscard]] const std::uint8_t* ring(std::size_t pm) const {
+    return windows_.data() + pm * window_size_;
+  }
+
   std::vector<PerPm> total_;
+  /// Every PM's sliding window as a fixed ring of 0/1 outcomes, one
+  /// window_size_ stretch per PM: a slot's record touches no allocator.
+  std::vector<std::uint8_t> windows_;
   std::size_t window_size_;
 };
 

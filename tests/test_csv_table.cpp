@@ -37,9 +37,17 @@ TEST(CsvFormat, SpecialValues) {
   EXPECT_EQ(csv_format(1.0 / 0.0), "inf");
 }
 
+/// A temp file name unique to the running test: ctest -j runs this
+/// fixture's tests concurrently, so a shared fixed name would collide.
+std::string per_test_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
+
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/burstq_csv_test.csv";
+  std::string path_ = per_test_path("burstq_csv_test", ".csv");
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::string read_back() {

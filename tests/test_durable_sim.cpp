@@ -4,16 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "durable/durable.h"
 #include "durable/snapshot.h"
 #include "durable/wal.h"
 #include "obs/event_log.h"
+#include "obs/slo.h"
+#include "obs/trace_codec.h"
 #include "placement/baselines.h"
 #include "placement/spec.h"
 #include "sim/cluster_sim.h"
@@ -301,6 +306,150 @@ TEST_F(DurableSimTest, RestoreIntoDifferentConfigIsRejected) {
   other.slots = 90;  // different horizon -> different digest
   ClusterSimulator second(inst, placed.placement, other, Rng(17));
   EXPECT_THROW((void)second.restore_from_durable(), durable::CorruptState);
+}
+
+// --- on-disk bytes ------------------------------------------------------
+
+/// Bursty enough (p_on = p_off) that the scheduler moves VMs every few
+/// slots and sometimes finds no target.
+ProblemInstance hot_instance() {
+  Rng rng(31);
+  return random_instance(40, 10, OnOffParams{0.1, 0.1}, InstanceRanges{},
+                         rng);
+}
+
+/// A fixed-seed run with an SLO tracker, faults and durability on, packed
+/// tight (FFD by Rb) so the WAL carries migrate, migrate-fail, crash,
+/// stall and abort records.
+class DurableSimBytesTest : public DurableSimTest {
+ protected:
+  static constexpr std::uint64_t kSeed = 31;
+  static constexpr std::size_t kEvery = 20;
+
+  DurableSimBytesTest()
+      : inst_(hot_instance()),
+        placed_(ffd_by_normal(inst_).placement) {}
+
+  [[nodiscard]] SimConfig config(const std::string& state_dir,
+                                 obs::SloTracker& slo) const {
+    SimConfig cfg = base_config(
+        "crash@12:pm=3;mig-stall@18:slots=2;mig-abort@27;recover@35:pm=3",
+        state_dir);
+    cfg.policy.rho = 0.02;
+    cfg.policy.cost_slots = 3;  // copies stay in flight for the stall
+    cfg.slo = &slo;
+    return cfg;
+  }
+
+  [[nodiscard]] obs::SloTracker make_slo() const {
+    obs::SloOptions opt;
+    opt.rho = 0.02;
+    return obs::SloTracker(inst_.n_pms(), opt);
+  }
+
+  /// One line per slot: everything on_slot saw.
+  static std::string describe(const SlotObservation& ob) {
+    std::ostringstream ss;
+    ss.precision(17);
+    ss << ob.t << " a:";
+    for (const std::size_t j : *ob.active) ss << j << ',';
+    ss << " v:";
+    for (const std::size_t j : *ob.violated) ss << j << ',';
+    ss << ' ' << ob.migrations << ' ' << ob.failed_migrations << ' '
+       << ob.pms_used << ' ' << ob.fast_burn << ' ' << ob.slow_burn;
+    return ss.str();
+  }
+
+  ProblemInstance inst_;
+  Placement placed_;
+};
+
+std::uint32_t file_crc(const fs::path& path) {
+  return obs::trace_detail::crc32(slurp(path.string()));
+}
+
+TEST_F(DurableSimBytesTest, SnapshotAndWalBytesMatchGolden) {
+  // The CRC-32 of every snapshot and journal this run writes, as the
+  // original encoders (bytewise CRC, whole history re-encoded on every
+  // snapshot) wrote them.  The values pin the on-disk formats: a faster
+  // encoder must leave every byte where it was.  Snapshots are read as
+  // soon as they land (slot t's on_slot runs after the checkpoint at the
+  // top of slot t) because prune() keeps only the newest two.
+  const fs::path state = dir_ / "state";
+  obs::SloTracker slo = make_slo();
+  SimConfig cfg = config(state.string(), slo);
+  std::map<std::string, std::uint32_t> got;
+  cfg.on_slot = [&](const SlotObservation& ob) {
+    if (ob.t % kEvery != 0) return;
+    const fs::path snap =
+        durable::SnapshotStore(state.string(), false).snapshot_path(ob.t);
+    got[snap.filename().string()] = file_crc(snap);
+  };
+  ClusterSimulator sim(inst_, placed_, cfg, Rng(kSeed));
+  const SimReport rep = sim.run();
+  for (const auto& entry : fs::directory_iterator(state))
+    if (entry.path().extension() == ".bqwl")
+      got[entry.path().filename().string()] = file_crc(entry.path());
+
+  // The run exercises the record types the golden values stand for.
+  EXPECT_GT(rep.total_migrations, 0u);
+  EXPECT_GT(rep.faults.pm_crashes, 0u);
+  EXPECT_GT(rep.faults.migration_stalls, 0u);
+  EXPECT_GT(rep.faults.migration_aborts, 0u);
+  EXPECT_GT(rep.failed_migrations, 0u);
+
+  const std::map<std::string, std::uint32_t> want = {
+      {"snap-000000000000.bqss", 0x05291134u},
+      {"snap-000000000020.bqss", 0x4d70743cu},
+      {"snap-000000000040.bqss", 0x18ceb416u},
+      {"wal-000000000020.bqwl", 0xc2f554acu},
+      {"wal-000000000040.bqwl", 0x151fb447u},
+  };
+  std::ostringstream actual;
+  for (const auto& [name, crc] : got)
+    actual << name << " 0x" << std::hex << crc << '\n';
+  EXPECT_EQ(got, want) << actual.str();
+}
+
+TEST_F(DurableSimBytesTest, SnapshotAfterRestoreMatchesUninterruptedRun) {
+  // Uninterrupted reference: snapshots at 0/20/40, prune keeps 20 and 40.
+  const fs::path ref_dir = dir_ / "ref";
+  obs::SloTracker ref_slo = make_slo();
+  SimConfig ref_cfg = config(ref_dir.string(), ref_slo);
+  std::vector<std::string> ref_obs;
+  ref_cfg.on_slot = [&](const SlotObservation& ob) {
+    ref_obs.push_back(describe(ob));
+  };
+  ClusterSimulator ref(inst_, placed_, ref_cfg, Rng(kSeed));
+  const std::string want = digest(ref.run());
+
+  // A state directory as a crash right after slot 39 committed leaves it:
+  // snapshot 20 and its full journal, nothing newer.
+  const fs::path dir = dir_ / "restored";
+  fs::create_directories(dir);
+  durable::SnapshotStore ref_store(ref_dir.string(), false);
+  durable::SnapshotStore store(dir.string(), false);
+  fs::copy_file(ref_store.snapshot_path(20), store.snapshot_path(20));
+  fs::copy_file(ref_store.wal_path(20), store.wal_path(20));
+
+  obs::SloTracker slo = make_slo();
+  SimConfig cfg = config(dir.string(), slo);
+  std::vector<std::string> seen;
+  cfg.on_slot = [&](const SlotObservation& ob) {
+    seen.push_back(describe(ob));
+  };
+  ClusterSimulator sim(inst_, placed_, cfg, Rng(kSeed));
+  const auto info = sim.restore_from_durable();
+  EXPECT_EQ(info.snapshot_slot, 20u);
+  EXPECT_EQ(info.replay_slots, 20u);
+  EXPECT_EQ(digest(sim.run()), want);
+
+  // The history sliced out of snapshot 20 re-fired slots 0..19 exactly,
+  // and the next snapshot carries it forward byte for byte.
+  EXPECT_EQ(seen, ref_obs);
+  EXPECT_EQ(slurp(store.snapshot_path(40)),
+            slurp(ref_store.snapshot_path(40)));
+  EXPECT_EQ(slurp(store.wal_path(40)), slurp(ref_store.wal_path(40)));
 }
 
 TEST(DurableSimConfig, KillsRequireDurability) {

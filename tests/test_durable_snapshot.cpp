@@ -8,11 +8,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "durable/durable.h"
 #include "durable/state_codec.h"
 #include "durable/wal.h"
+#include "obs/trace_codec.h"
 
 namespace burstq::durable {
 namespace {
@@ -182,6 +184,65 @@ TEST_F(SnapshotTest, StateCodecRoundTrip) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST_F(SnapshotTest, BulkAppendsMatchElementwiseEncoding) {
+  // u8_vec and raw are one-append shortcuts: the bytes must equal what
+  // the per-element calls produce, so snapshots keep their layout.
+  const std::vector<std::uint8_t> bytes{0, 1, 2, 255, 7};
+  StateWriter slow;
+  slow.varint(bytes.size());
+  for (const std::uint8_t b : bytes) slow.u8(b);
+  slow.size_vec({300, 4});
+  StateWriter tail;
+  tail.size_vec({300, 4});
+  StateWriter fast;
+  fast.u8_vec(bytes);
+  fast.raw(tail.data());
+  EXPECT_EQ(fast.data(), slow.data());
+  EXPECT_EQ(fast.size(), slow.data().size());
+
+  StateWriter empty;
+  empty.u8_vec({});
+  EXPECT_EQ(empty.data(), std::string(1, '\0'));
+}
+
+TEST_F(SnapshotTest, BlobInPartsWritesTheSameFile) {
+  const std::string blob = "head|a long append-only middle|tail";
+  SnapshotStore whole((dir_ / "whole").string(), false);
+  SnapshotStore parts((dir_ / "parts").string(), false);
+  whole.write_snapshot(3, blob);
+  const std::string_view view(blob);
+  const std::string_view pieces[] = {view.substr(0, 5), view.substr(5, 0),
+                                     view.substr(5, 25), view.substr(30)};
+  parts.write_snapshot(3, pieces, obs::trace_detail::crc32(blob));
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(read(parts.snapshot_path(3)), read(whole.snapshot_path(3)));
+  EXPECT_EQ(SnapshotStore::load_file(parts.snapshot_path(3)).blob, blob);
+
+  // A caller-supplied CRC that does not match fails loudly on load.
+  parts.write_snapshot(4, pieces, obs::trace_detail::crc32(blob) ^ 1u);
+  EXPECT_THROW((void)SnapshotStore::load_file(parts.snapshot_path(4)),
+               CorruptState);
+}
+
+TEST_F(SnapshotTest, FileLayoutIsHeaderThenBlob) {
+  // "BQSS" ver pad  u64 slot  u64 blob_len  u32 crc32(blob)  blob
+  SnapshotStore store(dir_.string(), false);
+  store.write_snapshot(9, "123456789");
+  std::ifstream in(store.snapshot_path(9), std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::string want =
+      std::string("BQSS\x01\0\0\0", 8) +
+      std::string("\x09\0\0\0\0\0\0\0", 8) +
+      std::string("\x09\0\0\0\0\0\0\0", 8) +
+      std::string("\x26\x39\xF4\xCB", 4) + "123456789";
+  EXPECT_EQ(file, want);
 }
 
 }  // namespace

@@ -107,9 +107,17 @@ TEST(InstanceFromTraces, ValidatesInput) {
   EXPECT_THROW(instance_from_traces(ok, {}), InvalidArgument);
 }
 
+/// A temp file name unique to the running test: ctest -j runs this
+/// fixture's tests concurrently, so a shared fixed name would collide.
+std::string per_test_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
+
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/burstq_trace_test.csv";
+  std::string path_ = per_test_path("burstq_trace_test", ".csv");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
@@ -192,6 +193,34 @@ TEST(HarnessRunner, KillRestartRunsAreByteIdentical) {
   const RunSummary rb = run_scenario(power_loss_scenario(true), b);
   EXPECT_EQ(slurp(ra.report_path), slurp(rb.report_path));
   EXPECT_EQ(slurp(ra.trace_path), slurp(rb.trace_path));
+}
+
+TEST(HarnessRunner, ReportAndTraceAreThreadCountInvariant) {
+  // The determinism contract holds on any core count, not only on one
+  // core: the same scenario at 1, 2 and 4 worker threads writes the
+  // same report and JSONL trace, kill-restart recovery included.
+  struct ResetThreads {
+    ~ResetThreads() { set_thread_count_override(0); }
+  } reset;
+  const auto run_at = [](const Scenario& sc, const std::string& tag,
+                         std::size_t threads) {
+    set_thread_count_override(threads);
+    HarnessOptions opt;
+    opt.out_dir = temp_dir("hr_threads_" + tag + std::to_string(threads));
+    const RunSummary run = run_scenario(sc, opt);
+    return std::make_pair(slurp(run.report_path), slurp(run.trace_path));
+  };
+  for (const auto& [tag, sc] :
+       {std::make_pair(std::string("breached"), breached_scenario()),
+        std::make_pair(std::string("kill"), power_loss_scenario(true))}) {
+    const auto one = run_at(sc, tag, 1);
+    ASSERT_FALSE(one.first.empty()) << tag;
+    for (const std::size_t threads : {2UL, 4UL}) {
+      const auto many = run_at(sc, tag, threads);
+      EXPECT_EQ(many.first, one.first) << tag << " report, " << threads;
+      EXPECT_EQ(many.second, one.second) << tag << " trace, " << threads;
+    }
+  }
 }
 
 TEST(HarnessRunner, RecoveryReplaySlotsInvariantObservesRestores) {

@@ -12,10 +12,18 @@
 namespace burstq {
 namespace {
 
+/// A temp file name unique to the running test: ctest -j runs this
+/// fixture's tests concurrently, so a shared fixed name would collide.
+std::string per_test_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
+
 class InstanceIoTest : public ::testing::Test {
  protected:
-  std::string vm_path_ = ::testing::TempDir() + "/burstq_vms_test.csv";
-  std::string pm_path_ = ::testing::TempDir() + "/burstq_pms_test.csv";
+  std::string vm_path_ = per_test_path("burstq_vms_test", ".csv");
+  std::string pm_path_ = per_test_path("burstq_pms_test", ".csv");
   void TearDown() override {
     std::remove(vm_path_.c_str());
     std::remove(pm_path_.c_str());

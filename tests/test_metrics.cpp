@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
 #include "sim/metrics.h"
 
 namespace burstq {
@@ -67,6 +72,53 @@ TEST(CvrTracker, OutOfRangePmThrows) {
   CvrTracker t(2, 4);
   EXPECT_THROW(t.record(PmId{5}, true), InvalidArgument);
   EXPECT_THROW((void)t.cvr(PmId{5}), InvalidArgument);
+}
+
+TEST(CvrTracker, RingMatchesDequeReferenceAcrossWrapsResetsAndRestores) {
+  // A deque of the last `window` outcomes per PM is the definition; the
+  // tracker's fixed ring must agree after every record and reset, and an
+  // export/import taken with the ring wrapped must continue identically.
+  for (std::size_t window = 1; window <= 5; ++window) {
+    constexpr std::size_t kPms = 3;
+    CvrTracker t(kPms, window);
+    std::vector<std::deque<std::uint8_t>> ref(kPms);
+    Rng rng(window);
+    for (int step = 0; step < 400; ++step) {
+      const std::size_t pm = rng.next_u64() % kPms;
+      if (rng.next_u64() % 11 == 0) {
+        t.reset_window(PmId{pm});
+        ref[pm].clear();
+      } else {
+        const bool violated = rng.next_u64() % 3 == 0;
+        t.record(PmId{pm}, violated);
+        ref[pm].push_back(violated ? 1 : 0);
+        if (ref[pm].size() > window) ref[pm].pop_front();
+      }
+      if (step == 200) {
+        CvrTracker restored(kPms, window);
+        restored.import_state(t.export_state());
+        t = restored;
+      }
+      const CvrTrackerState st = t.export_state();
+      for (std::size_t j = 0; j < kPms; ++j) {
+        const std::vector<std::uint8_t> want(ref[j].begin(), ref[j].end());
+        ASSERT_EQ(st.pms[j].window, want) << "window " << window;
+        double viol = 0.0;
+        for (const std::uint8_t b : want) viol += b;
+        const double expect =
+            want.empty() ? 0.0 : viol / static_cast<double>(want.size());
+        ASSERT_EQ(t.windowed_cvr(PmId{j}), expect) << "window " << window;
+      }
+    }
+  }
+}
+
+TEST(CvrTracker, ImportRejectsWindowLongerThanTracker) {
+  CvrTracker t(1, 3);
+  CvrTrackerState st;
+  st.pms.resize(1);
+  st.pms[0].window = {0, 1, 0, 1};
+  EXPECT_THROW(t.import_state(st), InvalidArgument);
 }
 
 TEST(MigrationEvent, FailureFlag) {

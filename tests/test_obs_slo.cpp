@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "obs/slo.h"
@@ -51,6 +53,32 @@ TEST(SloOptions, Validation) {
 TEST(SloTracker, RecordRejectsOutOfRangePm) {
   SloTracker slo(2, small_windows());
   EXPECT_THROW(slo.record(PmId{2}, false), InvalidArgument);
+}
+
+TEST(SloTracker, RecordSlotMatchesPerPmRecordAndBurnRatesMatchReport) {
+  SloTracker per_pm(5, small_windows());
+  SloTracker batched(5, small_windows());
+  const std::vector<std::vector<std::size_t>> active = {
+      {0, 1, 2}, {1, 2, 3, 4}, {}, {0, 4}, {0, 1, 2, 3, 4}, {2}};
+  const std::vector<std::vector<std::size_t>> violated = {
+      {1}, {2, 4}, {}, {0, 4}, {3}, {}};
+  for (std::size_t t = 0; t < active.size(); ++t) {
+    for (const std::size_t j : active[t]) {
+      const bool v = std::find(violated[t].begin(), violated[t].end(), j) !=
+                     violated[t].end();
+      per_pm.record(PmId{j}, v);
+    }
+    batched.record_slot(active[t], violated[t]);
+    per_pm.end_slot();
+    batched.end_slot();
+    const SloReport want = per_pm.report();
+    EXPECT_EQ(batched.report().render(), want.render()) << "slot " << t;
+    const obs::SloBurnRates burn = batched.burn_rates();
+    EXPECT_EQ(burn.fast, want.fast.burn) << "slot " << t;
+    EXPECT_EQ(burn.slow, want.slow.burn) << "slot " << t;
+  }
+  const std::vector<std::size_t> bad = {5};
+  EXPECT_THROW(batched.record_slot(bad, {}), InvalidArgument);
 }
 
 TEST(SloTracker, CumulativeAndWindowedCvr) {

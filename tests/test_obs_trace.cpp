@@ -87,6 +87,71 @@ TEST(TraceCodec, Crc32KnownVector) {
   EXPECT_EQ(crc32(""), 0u);
 }
 
+TEST(TraceCodec, Crc32MatchesBytewiseReference) {
+  // The bit-at-a-time definition of the same reflected polynomial.  Every
+  // length up to 1 KiB at every start offset mod 8 covers the 8-byte main
+  // loop, each tail length, and unaligned input.
+  const auto reference = [](std::string_view data) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (const char ch : data) {
+      c ^= static_cast<unsigned char>(ch);
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng(12);
+  std::string buf;
+  for (int i = 0; i < 1024 + 8; ++i)
+    buf.push_back(static_cast<char>(rng.next_u64() & 0xFF));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::string_view view(buf.data() + offset, len);
+      ASSERT_EQ(crc32(view), reference(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(TraceCodec, Crc32UpdateAndCombineMatchWholeBuffer) {
+  Rng rng(13);
+  std::string buf;
+  for (int i = 0; i < 3000; ++i)
+    buf.push_back(static_cast<char>(rng.next_u64() & 0xFF));
+  const std::uint32_t whole = crc32(buf);
+  EXPECT_EQ(crc32_update(0, buf), whole);
+  for (std::size_t split = 0; split <= buf.size(); split += 7) {
+    const std::string_view a(buf.data(), split);
+    const std::string_view b(buf.data() + split, buf.size() - split);
+    ASSERT_EQ(crc32_update(crc32(a), b), whole) << "split " << split;
+    ASSERT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), whole)
+        << "split " << split;
+  }
+  // Three pieces, as a snapshot checksums head + history + tail.
+  const std::string_view head(buf.data(), 100);
+  const std::string_view mid(buf.data() + 100, 2500);
+  const std::string_view tail(buf.data() + 2600, 400);
+  EXPECT_EQ(crc32_update(crc32_combine(crc32(head), crc32(mid), mid.size()),
+                         tail),
+            whole);
+}
+
+TEST(TraceCodec, FixedWidthScalarsAreLittleEndian) {
+  std::string out;
+  put_u32(out, 0x04030201u);
+  put_u64(out, 0x0C0B0A0908070605ULL);
+  ASSERT_EQ(out.size(), 12u);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_EQ(static_cast<unsigned char>(out[i]), i + 1) << "byte " << i;
+  std::size_t pos = 0;
+  std::uint32_t a = 0;
+  std::uint64_t b = 0;
+  ASSERT_TRUE(get_u32(out, pos, a));
+  ASSERT_TRUE(get_u64(out, pos, b));
+  EXPECT_EQ(a, 0x04030201u);
+  EXPECT_EQ(b, 0x0C0B0A0908070605ULL);
+}
+
 TEST(TraceCodec, LzRoundTripRepetitiveAndRandom) {
   std::string repetitive;
   for (int i = 0; i < 500; ++i) repetitive += "slot.obs t=123 rho=0.0100 ";

@@ -18,10 +18,18 @@
 namespace burstq {
 namespace {
 
+/// A temp file name unique to the running test: ctest -j runs this
+/// fixture's tests concurrently, so a shared fixed name would collide.
+std::string per_test_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
+
 class PlanetLabTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/burstq_pl_test.txt";
-  std::string path2_ = ::testing::TempDir() + "/burstq_pl_test2.txt";
+  std::string path_ = per_test_path("burstq_pl_test", ".txt");
+  std::string path2_ = per_test_path("burstq_pl_test2", ".txt");
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove(path2_.c_str());
