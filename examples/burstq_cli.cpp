@@ -66,6 +66,7 @@
 #include "common/table.h"
 #include "core/consolidator.h"
 #include "durable/durable.h"
+#include "durable/journal.h"
 #include "durable/snapshot.h"
 #include "durable/wal.h"
 #include "fault/plan.h"
@@ -953,30 +954,25 @@ int state_inspect(const durable::SnapshotStore& store) {
 /// the slot a restore would resume at.  This is the fsck you run before
 /// trusting a state directory.
 int state_restore(const durable::SnapshotStore& store) {
-  std::optional<durable::SnapshotStore::Loaded> loaded;
+  std::optional<durable::RecoveryPoint> point;
   try {
-    loaded = store.load_newest();
+    point = durable::recovery_point(store);
   } catch (const durable::CorruptState& e) {
     std::cerr << "restore would FAIL: " << e.what() << "\n";
     return 1;
   }
-  if (!loaded) {
+  if (!point) {
     std::cerr << "restore would FAIL: no snapshot in " << store.dir()
               << "\n";
     return 1;
   }
-  const durable::WalScan scan = durable::scan_wal(store.wal_path(loaded->slot));
-  // Only the consecutive suffix replays (a gap means a lost group).
-  std::size_t replay = 0;
-  while (replay < scan.groups.size() &&
-         scan.groups[replay].slot == loaded->slot + replay)
-    ++replay;
-  std::cout << "snapshot=" << loaded->path << "\n"
-            << "snapshot_slot=" << loaded->slot << "\n"
-            << "blob_bytes=" << loaded->blob.size() << "\n"
-            << "replay_slots=" << replay << "\n"
-            << "resume_slot=" << loaded->slot + replay << "\n"
-            << "wal_torn=" << (scan.torn ? "true" : "false") << "\n"
+  std::cout << "snapshot=" << point->snapshot.path << "\n"
+            << "snapshot_slot=" << point->snapshot.slot << "\n"
+            << "blob_bytes=" << point->snapshot.blob.size() << "\n"
+            << "replay_slots=" << point->suffix.size() << "\n"
+            << "resume_slot=" << point->snapshot.slot + point->suffix.size()
+            << "\n"
+            << "wal_torn=" << (point->wal_torn ? "true" : "false") << "\n"
             << "verdict=OK\n";
   return 0;
 }

@@ -10,6 +10,7 @@
 #include "placement/budget.h"
 #include "placement/incremental.h"
 #include "placement/placement.h"
+#include "sim/state_codecs.h"
 
 namespace burstq {
 
@@ -536,18 +537,14 @@ std::string CloudController::export_state() const {
   for (const Tenant& t : tenants_) {
     w.boolean(t.live);
     if (!t.live) continue;  // the slot is on the free list
-    w.f64(t.spec.onoff.p_on);
-    w.f64(t.spec.onoff.p_off);
-    w.f64(t.spec.rb);
-    w.f64(t.spec.re);
+    encode_vm_spec(w, t.spec);
     w.u8(static_cast<std::uint8_t>(t.chain.state()));
     w.varint(t.pm.valid() ? t.pm.value + 1 : 0);
   }
   w.size_vec(free_slots_);
   w.varint(on_pm_.size());
   for (const auto& list : on_pm_) w.size_vec(list);
-  w.varint(up_.size());
-  for (const std::uint8_t b : up_) w.u8(b);
+  w.u8_vec(up_);
   w.varint(route_seq_);
 
   w.varint(queue_.size());
@@ -557,14 +554,7 @@ std::string CloudController::export_state() const {
     w.varint(q.next_attempt);
   }
 
-  const CvrTrackerState ts = tracker_.export_state();
-  w.varint(ts.pms.size());
-  for (const auto& pm : ts.pms) {
-    w.varint(pm.observed);
-    w.varint(pm.violated);
-    w.varint(pm.window.size());
-    for (const std::uint8_t b : pm.window) w.u8(b);
-  }
+  encode_cvr_tracker(w, tracker_.export_state());
   w.f64(meter_.joules());
 
   w.varint(stats_.slots);
@@ -591,35 +581,8 @@ std::string CloudController::export_state() const {
   w.f64(stats_.energy_wh);
 
   w.boolean(config_.slo != nullptr);
-  if (config_.slo != nullptr) {
-    const obs::SloTrackerState ss = config_.slo->export_state();
-    w.varint(ss.pms.size());
-    for (const auto& pm : ss.pms) {
-      w.varint(pm.observed);
-      w.varint(pm.violated);
-      w.varint(pm.ring.size());
-      for (const std::uint8_t b : pm.ring) w.u8(b);
-      w.varint(pm.ring_observed);
-      w.varint(pm.ring_violated);
-    }
-    w.varint(ss.cur.size());
-    for (const std::uint8_t b : ss.cur) w.u8(b);
-    w.varint(ss.cluster_ring.size());
-    for (const auto& [o, v] : ss.cluster_ring) {
-      w.u32(o);
-      w.u32(v);
-    }
-    w.varint(ss.slots);
-    w.varint(ss.fast_obs);
-    w.varint(ss.fast_viol);
-    w.varint(ss.slow_obs);
-    w.varint(ss.slow_viol);
-    w.varint(ss.cum_obs);
-    w.varint(ss.cum_viol);
-    w.varint(ss.breaches);
-    w.boolean(ss.breaching);
-  }
-
+  if (config_.slo != nullptr)
+    encode_slo_tracker(w, config_.slo->export_state());
   return w.take();
 }
 
@@ -637,15 +600,11 @@ void CloudController::import_state(std::string_view blob) {
   table_ = MapCalTable(config_.ffd.max_vms_per_pm, table_params_,
                        config_.ffd.rho, config_.ffd.method);
 
-  const std::size_t n_tenants = r.varint();
-  tenants_.assign(n_tenants, Tenant{});
+  tenants_.assign(r.count(), Tenant{});
   for (Tenant& t : tenants_) {
     t.live = r.boolean();
     if (!t.live) continue;
-    t.spec.onoff.p_on = r.f64();
-    t.spec.onoff.p_off = r.f64();
-    t.spec.rb = r.f64();
-    t.spec.re = r.f64();
+    t.spec = decode_vm_spec(r);
     t.chain = OnOffChain(t.spec.onoff,
                          static_cast<VmState>(r.u8()));
     const std::size_t pm = r.varint();
@@ -654,27 +613,21 @@ void CloudController::import_state(std::string_view blob) {
   free_slots_ = r.size_vec();
   if (r.varint() != pms_.size()) r.fail("PM list count mismatch");
   for (auto& list : on_pm_) list = r.size_vec();
-  if (r.varint() != pms_.size()) r.fail("PM liveness count mismatch");
-  for (std::uint8_t& b : up_) b = r.u8();
+  std::vector<std::uint8_t> up = r.u8_vec();
+  if (up.size() != pms_.size()) r.fail("PM liveness count mismatch");
+  up_ = std::move(up);
   route_seq_ = r.varint();
 
-  queue_.assign(r.varint(), QueuedTenant{});
+  queue_.assign(r.count(), QueuedTenant{});
   for (QueuedTenant& q : queue_) {
     q.slot = r.varint();
     q.retries = r.varint();
     q.next_attempt = r.varint();
   }
 
-  CvrTrackerState ts;
-  ts.pms.resize(r.varint());
+  const CvrTrackerState ts = decode_cvr_tracker(r);
   if (ts.pms.size() != tracker_.n_pms())
     r.fail("CVR tracker PM count mismatch");
-  for (auto& pm : ts.pms) {
-    pm.observed = r.varint();
-    pm.violated = r.varint();
-    pm.window.resize(r.varint());
-    for (std::uint8_t& b : pm.window) b = r.u8();
-  }
   tracker_.import_state(ts);
   meter_.restore_joules(r.f64());
 
@@ -704,35 +657,7 @@ void CloudController::import_state(std::string_view blob) {
   const bool has_slo = r.boolean();
   if (has_slo != (config_.slo != nullptr))
     r.fail("SLO tracker presence mismatch");
-  if (has_slo) {
-    obs::SloTrackerState ss;
-    ss.pms.resize(r.varint());
-    for (auto& pm : ss.pms) {
-      pm.observed = r.varint();
-      pm.violated = r.varint();
-      pm.ring.resize(r.varint());
-      for (std::uint8_t& b : pm.ring) b = r.u8();
-      pm.ring_observed = r.varint();
-      pm.ring_violated = r.varint();
-    }
-    ss.cur.resize(r.varint());
-    for (std::uint8_t& b : ss.cur) b = r.u8();
-    ss.cluster_ring.resize(r.varint());
-    for (auto& [o, v] : ss.cluster_ring) {
-      o = r.u32();
-      v = r.u32();
-    }
-    ss.slots = r.varint();
-    ss.fast_obs = r.varint();
-    ss.fast_viol = r.varint();
-    ss.slow_obs = r.varint();
-    ss.slow_viol = r.varint();
-    ss.cum_obs = r.varint();
-    ss.cum_viol = r.varint();
-    ss.breaches = r.varint();
-    ss.breaching = r.boolean();
-    config_.slo->import_state(ss);
-  }
+  if (has_slo) config_.slo->import_state(decode_slo_tracker(r));
   r.expect_done();
 
   // Derived structures are rebuilt, never deserialized: the shard index

@@ -104,22 +104,31 @@ class StateReader {
     pos_ += n;
     return s;
   }
-  std::vector<std::size_t> size_vec() {
+  /// An element count for elements of at least `min_bytes` bytes each.
+  /// A count the rest of the stream cannot hold fails here, before the
+  /// caller sizes a container by it.
+  std::size_t count(std::size_t min_bytes = 1) {
     const std::uint64_t n = varint();
-    if (n > data_.size() - pos_) fail("vector count exceeds stream");
-    std::vector<std::size_t> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-      v.push_back(static_cast<std::size_t>(varint()));
+    if (n > (data_.size() - pos_) / min_bytes)
+      fail("vector count exceeds stream");
+    return static_cast<std::size_t>(n);
+  }
+  std::vector<std::size_t> size_vec() {
+    std::vector<std::size_t> v(count());
+    for (std::size_t& x : v) x = static_cast<std::size_t>(varint());
     return v;
   }
   std::vector<double> f64_vec() {
-    const std::uint64_t n = varint();
-    if (n > (data_.size() - pos_) / 8) fail("vector count exceeds stream");
-    std::vector<double> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
+    std::vector<double> v(count(8));
+    for (double& x : v) x = f64();
     return v;
+  }
+  /// Reads StateWriter::u8_vec() bytes.
+  std::vector<std::uint8_t> u8_vec() {
+    const std::size_t n = count();
+    const auto* p = reinterpret_cast<const std::uint8_t*>(data_.data()) + pos_;
+    pos_ += n;
+    return std::vector<std::uint8_t>(p, p + n);
   }
 
   std::size_t pos() const { return pos_; }

@@ -21,56 +21,34 @@ constexpr char kWalMagic[4] = {'B', 'Q', 'W', 'L'};
 constexpr std::uint8_t kWalVersion = 1;
 constexpr std::size_t kHeaderBytes = 16;
 
-void flush_file(std::FILE* f, bool fsync, std::uint64_t& fsyncs,
-                const std::string& path) {
+void flush_file(std::FILE* f, bool fsync, const std::string& path) {
   BURSTQ_REQUIRE(std::fflush(f) == 0, "WAL flush failed: " + path);
 #if !defined(_WIN32)
   if (fsync) {
     ::fsync(::fileno(f));
-    ++fsyncs;
     BURSTQ_COUNT("durable.wal.fsyncs", 1);
   }
 #else
   (void)fsync;
-  (void)fsyncs;
 #endif
 }
 
 }  // namespace
 
-const char* wal_record_name(WalRecord type) {
-  switch (type) {
-    case WalRecord::kCrash: return "crash";
-    case WalRecord::kRecover: return "recover";
-    case WalRecord::kStall: return "stall";
-    case WalRecord::kAbort: return "abort";
-    case WalRecord::kMigrate: return "migrate";
-    case WalRecord::kMigrateFail: return "migrate-fail";
-    case WalRecord::kQueue: return "queue";
-    case WalRecord::kOpAdmit: return "op-admit";
-    case WalRecord::kOpDepart: return "op-depart";
-    case WalRecord::kOpResize: return "op-resize";
-    case WalRecord::kOpTick: return "op-tick";
-    case WalRecord::kOpCrash: return "op-crash";
-    case WalRecord::kOpRecover: return "op-recover";
-  }
-  return "unknown";
-}
-
 WalWriter::WalWriter(std::string path, std::size_t base_slot, bool fsync)
-    : path_(std::move(path)), base_slot_(base_slot), fsync_(fsync) {
+    : path_(std::move(path)), fsync_(fsync) {
   out_ = std::fopen(path_.c_str(), "wb");
   BURSTQ_REQUIRE(out_ != nullptr, "cannot create WAL file: " + path_);
   std::string header;
   header.append(kWalMagic, sizeof kWalMagic);
   header.push_back(static_cast<char>(kWalVersion));
   header.append(3, '\0');
-  obs::trace_detail::put_u64(header, base_slot_);
+  obs::trace_detail::put_u64(header, base_slot);
   BURSTQ_REQUIRE(
       std::fwrite(header.data(), 1, header.size(), out_) == header.size(),
       "WAL header write failed: " + path_);
   bytes_ = header.size();
-  flush_file(out_, fsync_, fsyncs_, path_);
+  flush_file(out_, fsync_, path_);
 }
 
 WalWriter::~WalWriter() {
@@ -104,7 +82,7 @@ std::string WalWriter::commit(std::size_t slot, std::uint32_t state_crc) {
       "WAL group write failed: " + path_);
   bytes_ += group.size();
   ++groups_;
-  flush_file(out_, fsync_, fsyncs_, path_);
+  flush_file(out_, fsync_, path_);
   BURSTQ_COUNT("durable.wal.commits", 1);
   return group;
 }

@@ -27,7 +27,8 @@
 namespace burstq::durable {
 
 /// Record types.  1..15 are simulator mutations (journaled before the
-/// mutation is applied), 16+ are controller ops (see controller_store.h).
+/// mutation is applied), 16+ are controller ops (see
+/// core/durable_controller.h).
 enum class WalRecord : std::uint8_t {
   kCrash = 1,        // PM crash: evacuation about to run
   kRecover = 2,      // PM back up
@@ -43,8 +44,6 @@ enum class WalRecord : std::uint8_t {
   kOpCrash = 20,
   kOpRecover = 21,
 };
-
-const char* wal_record_name(WalRecord type);
 
 /// Appends records for the slot in flight, then atomically (w.r.t. the
 /// scanner: the group's CRC only matches once fully written) commits
@@ -69,20 +68,16 @@ class WalWriter {
   void discard_pending() { pending_.clear(); }
 
   std::size_t groups_committed() const { return groups_; }
-  std::size_t base_slot() const { return base_slot_; }
   const std::string& path() const { return path_; }
   std::uint64_t bytes_written() const { return bytes_; }
-  std::uint64_t fsyncs() const { return fsyncs_; }
 
  private:
   std::string path_;
-  std::size_t base_slot_{0};
   bool fsync_{false};
   std::FILE* out_{nullptr};
   std::vector<std::pair<std::uint8_t, std::string>> pending_;
   std::size_t groups_{0};
   std::uint64_t bytes_{0};
-  std::uint64_t fsyncs_{0};
 };
 
 /// One fully committed group, as scanned back.

@@ -97,16 +97,6 @@ Resource Placement::re_max_on(PmId pm) const {
   return re_max_[pm.value];
 }
 
-PlacementState Placement::export_state() const {
-  PlacementState st;
-  st.pm_of = pm_of_;
-  st.vms_on = vms_on_;
-  st.bound = inst_ != nullptr;
-  st.rb_sum = rb_sum_;
-  st.re_max = re_max_;
-  return st;
-}
-
 void Placement::restore_state(const PlacementState& st) {
   BURSTQ_REQUIRE(st.pm_of.size() == pm_of_.size(),
                  "placement state VM count mismatch");

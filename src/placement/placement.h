@@ -105,11 +105,11 @@ class Placement {
   /// Always exactly equal to the walk-based maximum.
   [[nodiscard]] Resource re_max_on(PmId pm) const;
 
-  /// Durable-snapshot export/import.  restore_state() replaces the whole
-  /// mapping; derived indices (pos_in_pm_, pms_used_, vms_assigned_) are
-  /// rebuilt from the lists.  The placement keeps its current binding —
-  /// aggregates in the state are only applied to a bound placement.
-  [[nodiscard]] PlacementState export_state() const;
+  /// Durable-snapshot import (the simulator's snapshot encoder reads the
+  /// placement in place).  Replaces the whole mapping; derived indices
+  /// (pos_in_pm_, pms_used_, vms_assigned_) are rebuilt from the lists.
+  /// The placement keeps its current binding — aggregates in the state
+  /// are only applied to a bound placement.
   void restore_state(const PlacementState& st);
 
  private:

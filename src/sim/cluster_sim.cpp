@@ -10,6 +10,7 @@
 #include "obs/slo.h"
 #include "placement/queuing_ffd.h"
 #include "sim/flight.h"
+#include "sim/state_codecs.h"
 
 namespace burstq {
 
@@ -125,8 +126,7 @@ ClusterSimulator::ClusterSimulator(const ProblemInstance& inst,
 
   tracker_.emplace(inst.n_pms(), config_.policy.cvr_window);
   meter_.emplace(config_.power, config_.sigma_seconds);
-  if (config_.durability)
-    store_.emplace(config_.durability->dir, config_.durability->fsync);
+  if (config_.durability) journal_.emplace(*config_.durability);
   // Last: its sim.config event must be the final ctor-time emission so a
   // restore's log rewind lands right past it.
   recorder_.emplace("cluster_sim", inst.n_pms(), config_.slots,
@@ -141,10 +141,7 @@ void ClusterSimulator::apply_faults(const fault::SlotFaults& sf,
   if (sf.stall_slots > 0 && !in_flight_.empty()) {
     for (auto& f : in_flight_) f.remaining += sf.stall_slots;
     report.faults.migration_stalls += in_flight_.size();
-    durable::StateWriter rec;
-    rec.varint(sf.stall_slots);
-    rec.varint(in_flight_.size());
-    journal(durable::WalRecord::kStall, rec.take());
+    journal(durable::WalRecord::kStall, {sf.stall_slots, in_flight_.size()});
     BURSTQ_COUNT("fault.migration.stalls", in_flight_.size());
     BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.migration.stall",
                  {"t", t}, {"copies", in_flight_.size()},
@@ -162,9 +159,7 @@ void ClusterSimulator::apply_faults(const fault::SlotFaults& sf,
         // below along with everything else hosted on j.
         aborted_once_[f.vm] = true;
         ++report.faults.migration_aborts;
-        durable::StateWriter rec;
-        rec.varint(f.vm);
-        journal(durable::WalRecord::kAbort, rec.take());
+        journal(durable::WalRecord::kAbort, {f.vm});
         BURSTQ_COUNT("fault.migration.aborts", 1);
         BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.migration.abort",
                      {"t", t}, {"vm", f.vm}, {"reason", "target-crash"});
@@ -175,17 +170,11 @@ void ClusterSimulator::apply_faults(const fault::SlotFaults& sf,
     const std::size_t evacuated =
         recovery_->evacuate(placement_, PmId{j}, up, rounded_, t);
     report.faults.evacuated += evacuated;
-    durable::StateWriter rec;
-    rec.varint(j);
-    rec.varint(evacuated);
-    journal(durable::WalRecord::kCrash, rec.take());
+    journal(durable::WalRecord::kCrash, {j, evacuated});
   }
   report.faults.pm_recoveries += sf.recoveries.size();
-  for (std::size_t j : sf.recoveries) {
-    durable::StateWriter rec;
-    rec.varint(j);
-    journal(durable::WalRecord::kRecover, rec.take());
-  }
+  for (std::size_t j : sf.recoveries)
+    journal(durable::WalRecord::kRecover, {j});
 
   // Scripted / Markov migration aborts: the VM rolls back to its source
   // (which is up — copies from a crashed source were dropped above and at
@@ -198,9 +187,7 @@ void ClusterSimulator::apply_faults(const fault::SlotFaults& sf,
     placement_.assign(VmId{f.vm}, PmId{f.source_pm});
     aborted_once_[f.vm] = true;
     ++report.faults.migration_aborts;
-    durable::StateWriter rec;
-    rec.varint(f.vm);
-    journal(durable::WalRecord::kAbort, rec.take());
+    journal(durable::WalRecord::kAbort, {f.vm});
     BURSTQ_COUNT("fault.migration.aborts", 1);
     BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.migration.abort",
                  {"t", t}, {"vm", f.vm}, {"to", f.source_pm},
@@ -213,12 +200,9 @@ void ClusterSimulator::apply_faults(const fault::SlotFaults& sf,
   if (!recovery_->queue().empty())
     recovery_->drain(placement_, up, rounded_, t);
 
-  if (!recovery_->queue().empty()) {
-    durable::StateWriter rec;
-    rec.varint(recovery_->queue().size());
-    rec.varint(recovery_->enqueued_total());
-    journal(durable::WalRecord::kQueue, rec.take());
-  }
+  if (!recovery_->queue().empty())
+    journal(durable::WalRecord::kQueue,
+            {recovery_->queue().size(), recovery_->enqueued_total()});
 
   BURSTQ_ASSERT(recovery_->invariant_holds(placement_, up),
                 "recovery invariant violated: a VM is neither hosted on an "
@@ -271,7 +255,7 @@ SimReport ClusterSimulator::run() {
   // observation history is part of the state) and the SLO tracker, which
   // takes each slot's verdicts in one call.
   const bool observe = recorder.enabled() || config_.on_slot != nullptr ||
-                       store_.has_value() || config_.slo != nullptr;
+                       journal_.has_value() || config_.slo != nullptr;
 
   for (std::size_t t = start_slot_; t < config_.slots; ++t) {
     BURSTQ_SPAN("sim.slot");
@@ -395,11 +379,8 @@ SimReport ClusterSimulator::run() {
           report.events.push_back(MigrationEvent{
               static_cast<TimeSlot>(t), *victim, source, *target});
           ++migrations_this_slot;
-          durable::StateWriter rec;
-          rec.varint(victim->value);
-          rec.varint(j);
-          rec.varint(target->value);
-          journal(durable::WalRecord::kMigrate, rec.take());
+          journal(durable::WalRecord::kMigrate,
+                  {victim->value, j, target->value});
           BURSTQ_COUNT("sim.migrations", 1);
           if (!aborted_once_.empty() && aborted_once_[victim->value]) {
             // Re-moving a VM whose previous copy was rolled back by a
@@ -421,10 +402,7 @@ SimReport ClusterSimulator::run() {
           report.events.push_back(MigrationEvent{
               static_cast<TimeSlot>(t), *victim, source, PmId{}});
           ++report.failed_migrations;
-          durable::StateWriter rec;
-          rec.varint(victim->value);
-          rec.varint(j);
-          journal(durable::WalRecord::kMigrateFail, rec.take());
+          journal(durable::WalRecord::kMigrateFail, {victim->value, j});
           BURSTQ_COUNT("sim.migrations_failed", 1);
           BURSTQ_EVENT(obs::EventLevel::kDecisions, "migration", {"t", t},
                        {"vm", victim->value}, {"from", j}, {"ok", false});
@@ -459,7 +437,7 @@ SimReport ClusterSimulator::run() {
     // 7. hand the closed slot to the harness observer; 8. the slot is
     // final: retain its observation for future snapshots and commit its
     // journal group (during replay: verify instead).
-    if (config_.on_slot || store_) {
+    if (config_.on_slot || journal_) {
       SlotObservation ob;
       ob.t = t;
       ob.active = &obs_active;
@@ -473,14 +451,14 @@ SimReport ClusterSimulator::run() {
         ob.slow_burn = burn.slow;
       }
       if (config_.on_slot) config_.on_slot(ob);
-      if (store_) {
+      if (journal_) {
         const std::size_t before = history_.size();
         encode_observation(history_, ob);
         history_crc_ = obs::trace_detail::crc32_update(
             history_crc_, std::string_view(history_.data()).substr(before));
       }
     }
-    commit_slot(t);
+    if (journal_) journal_->commit(t, placement_crc());
   }
 
   report.pms_used_end = report.pms_used_timeline.back();
@@ -511,8 +489,11 @@ SimReport ClusterSimulator::run() {
 }
 
 void ClusterSimulator::journal(durable::WalRecord type,
-                               std::string payload) {
-  if (wal_) wal_->append(type, std::move(payload));
+                               std::initializer_list<std::uint64_t> fields) {
+  if (!journal_) return;
+  durable::StateWriter rec;
+  for (const std::uint64_t f : fields) rec.varint(f);
+  journal_->append(type, rec.take());
 }
 
 std::uint32_t ClusterSimulator::placement_crc() {
@@ -530,27 +511,8 @@ std::uint32_t ClusterSimulator::placement_crc() {
       std::string_view(begin, static_cast<std::size_t>(end - begin)));
 }
 
-void ClusterSimulator::commit_slot(std::size_t t) {
-  if (!wal_) return;
-  const std::string bytes = wal_->commit(t, placement_crc());
-  if (t < replay_upto_) {
-    const std::size_t idx = t - wal_base_slot_;
-    BURSTQ_ASSERT(idx < verify_groups_.size(),
-                  "replay slot outside the verified WAL range");
-    if (bytes != verify_groups_[idx].bytes)
-      throw durable::CorruptState(
-          "WAL divergence at slot " + std::to_string(t) +
-          ": re-executed mutations do not match the journal (" +
-          wal_->path() + ")");
-  }
-}
-
 void ClusterSimulator::maybe_checkpoint(std::size_t t) {
-  if (!store_) return;
-  // During replay the snapshots and journal epochs already exist; writing
-  // them again would truncate the very WAL being verified.
-  if (t < replay_upto_) return;
-  if (t % config_.durability->snapshot_every != 0) return;
+  if (!journal_ || !journal_->checkpoint_due(t)) return;
   const std::size_t split = encode_state(t);
   const std::string_view state(snapshot_.data());
   const std::string_view head = state.substr(0, split);
@@ -562,11 +524,19 @@ void ClusterSimulator::maybe_checkpoint(std::size_t t) {
       td::crc32_combine(td::crc32(head), history_crc_, history_.size()),
       tail);
   const std::string_view parts[] = {head, history_.data(), tail};
-  store_->write_snapshot(t, parts, crc);
-  wal_ = std::make_unique<durable::WalWriter>(
-      store_->wal_path(t), t, config_.durability->fsync);
-  wal_base_slot_ = t;
-  store_->prune(2);
+  journal_->checkpoint(t, parts, crc);
+}
+
+std::uint32_t ClusterSimulator::config_digest() const {
+  durable::StateWriter cfg;
+  cfg.varint(inst_->n_vms());
+  cfg.varint(inst_->n_pms());
+  cfg.varint(config_.slots);
+  cfg.varint(config_.policy.cvr_window);
+  cfg.varint(config_.policy.max_vms_per_pm);
+  cfg.varint(config_.webserver_workload ? 1u : 0u);
+  cfg.varint(config_.slo != nullptr ? 1u : 0u);
+  return obs::trace_detail::crc32(cfg.data());
 }
 
 std::size_t ClusterSimulator::encode_state(std::size_t t) {
@@ -575,21 +545,9 @@ std::size_t ClusterSimulator::encode_state(std::size_t t) {
   w.u64(1);  // blob version
   w.varint(t);
 
-  // Digest of the construction arguments the blob does NOT carry — a
-  // restore into a differently-configured simulator must fail loudly,
+  // A restore into a differently-configured simulator must fail loudly,
   // not deserialize garbage.
-  {
-    std::string cfg;
-    obs::trace_detail::put_varint(cfg, inst_->n_vms());
-    obs::trace_detail::put_varint(cfg, inst_->n_pms());
-    obs::trace_detail::put_varint(cfg, config_.slots);
-    obs::trace_detail::put_varint(cfg, config_.policy.cvr_window);
-    obs::trace_detail::put_varint(cfg, config_.policy.max_vms_per_pm);
-    obs::trace_detail::put_varint(cfg,
-                                  config_.webserver_workload ? 1u : 0u);
-    obs::trace_detail::put_varint(cfg, config_.slo != nullptr ? 1u : 0u);
-    w.u32(obs::trace_detail::crc32(cfg));
-  }
+  w.u32(config_digest());
 
   for (const std::uint64_t s : rng_.state()) w.u64(s);
   for (const std::uint64_t s : ensemble_.rng().state()) w.u64(s);
@@ -629,41 +587,10 @@ std::size_t ClusterSimulator::encode_state(std::size_t t) {
     w.varint(f.remaining);
   }
 
-  const CvrTrackerState cs = tracker_->export_state();
-  w.varint(cs.pms.size());
-  for (const auto& pm : cs.pms) {
-    w.varint(pm.observed);
-    w.varint(pm.violated);
-    w.u8_vec(pm.window);
-  }
-
+  encode_cvr_tracker(w, tracker_->export_state());
   w.boolean(config_.slo != nullptr);
-  if (config_.slo != nullptr) {
-    const obs::SloTrackerState ss = config_.slo->export_state();
-    w.varint(ss.pms.size());
-    for (const auto& pm : ss.pms) {
-      w.varint(pm.observed);
-      w.varint(pm.violated);
-      w.u8_vec(pm.ring);
-      w.varint(pm.ring_observed);
-      w.varint(pm.ring_violated);
-    }
-    w.u8_vec(ss.cur);
-    w.varint(ss.cluster_ring.size());
-    for (const auto& [o, v] : ss.cluster_ring) {
-      w.u32(o);
-      w.u32(v);
-    }
-    w.varint(ss.slots);
-    w.varint(ss.fast_obs);
-    w.varint(ss.fast_viol);
-    w.varint(ss.slow_obs);
-    w.varint(ss.slow_viol);
-    w.varint(ss.cum_obs);
-    w.varint(ss.cum_viol);
-    w.varint(ss.breaches);
-    w.boolean(ss.breaching);
-  }
+  if (config_.slo != nullptr)
+    encode_slo_tracker(w, config_.slo->export_state());
 
   w.f64(meter_->joules());
 
@@ -748,33 +675,23 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   BURSTQ_REQUIRE(!ran_,
                  "restore_from_durable() must precede run() on a fresh "
                  "simulator");
-  BURSTQ_REQUIRE(store_.has_value(),
+  BURSTQ_REQUIRE(journal_.has_value(),
                  "SimConfig::durability is not configured");
-  const auto loaded = store_->load_newest();
-  if (!loaded)
+  auto point = durable::recovery_point(journal_->store());
+  if (!point)
     throw durable::CorruptState("no snapshot to restore under " +
-                                store_->dir());
-  durable::StateReader r(loaded->blob, "snapshot " + loaded->path);
+                                journal_->store().dir());
+  const durable::SnapshotStore::Loaded& loaded = point->snapshot;
+  durable::StateReader r(loaded.blob, "snapshot " + loaded.path);
 
   const std::uint64_t version = r.u64();
   if (version != 1) r.fail("unsupported snapshot blob version");
   const std::size_t slot = r.varint();
-  if (slot != loaded->slot) r.fail("blob slot disagrees with the header");
-  {
-    std::string cfg;
-    obs::trace_detail::put_varint(cfg, inst_->n_vms());
-    obs::trace_detail::put_varint(cfg, inst_->n_pms());
-    obs::trace_detail::put_varint(cfg, config_.slots);
-    obs::trace_detail::put_varint(cfg, config_.policy.cvr_window);
-    obs::trace_detail::put_varint(cfg, config_.policy.max_vms_per_pm);
-    obs::trace_detail::put_varint(cfg,
-                                  config_.webserver_workload ? 1u : 0u);
-    obs::trace_detail::put_varint(cfg, config_.slo != nullptr ? 1u : 0u);
-    if (r.u32() != obs::trace_detail::crc32(cfg))
-      r.fail(
-          "config digest mismatch — the restoring simulator was "
-          "constructed with different arguments");
-  }
+  if (slot != loaded.slot) r.fail("blob slot disagrees with the header");
+  if (r.u32() != config_digest())
+    r.fail(
+        "config digest mismatch — the restoring simulator was "
+        "constructed with different arguments");
 
   std::array<std::uint64_t, 4> rng_state{};
   for (auto& s : rng_state) s = r.u64();
@@ -782,7 +699,7 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   std::array<std::uint64_t, 4> ens_state{};
   for (auto& s : ens_state) s = r.u64();
   ensemble_.rng().set_state(ens_state);
-  const std::size_t n_chains = r.varint();
+  const std::size_t n_chains = r.count();
   if (n_chains != ensemble_.n_vms()) r.fail("chain count mismatch");
   for (std::size_t i = 0; i < n_chains; ++i) {
     OnOffParams p;
@@ -794,13 +711,13 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   }
 
   PlacementState ps;
-  const std::size_t n_vms = r.varint();
+  const std::size_t n_vms = r.count();
   ps.pm_of.reserve(n_vms);
   for (std::size_t i = 0; i < n_vms; ++i) {
     const std::size_t v = r.varint();
     ps.pm_of.push_back(v == 0 ? PmId{} : PmId{v - 1});
   }
-  const std::size_t n_pms = r.varint();
+  const std::size_t n_pms = r.count();
   ps.vms_on.reserve(n_pms);
   for (std::size_t j = 0; j < n_pms; ++j) ps.vms_on.push_back(r.size_vec());
   ps.bound = r.boolean();
@@ -820,49 +737,12 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
     in_flight_.push_back(f);
   }
 
-  CvrTrackerState cs;
-  const std::size_t n_cvr = r.varint();
-  cs.pms.resize(n_cvr);
-  for (auto& pm : cs.pms) {
-    pm.observed = r.varint();
-    pm.violated = r.varint();
-    pm.window.resize(r.varint());
-    for (auto& b : pm.window) b = r.u8();
-  }
-  tracker_->import_state(cs);
+  tracker_->import_state(decode_cvr_tracker(r));
 
   const bool has_slo = r.boolean();
   if (has_slo != (config_.slo != nullptr))
     r.fail("SLO tracker presence mismatch");
-  if (has_slo) {
-    obs::SloTrackerState ss;
-    ss.pms.resize(r.varint());
-    for (auto& pm : ss.pms) {
-      pm.observed = r.varint();
-      pm.violated = r.varint();
-      pm.ring.resize(r.varint());
-      for (auto& b : pm.ring) b = r.u8();
-      pm.ring_observed = r.varint();
-      pm.ring_violated = r.varint();
-    }
-    ss.cur.resize(r.varint());
-    for (auto& b : ss.cur) b = r.u8();
-    ss.cluster_ring.resize(r.varint());
-    for (auto& [o, v] : ss.cluster_ring) {
-      o = r.u32();
-      v = r.u32();
-    }
-    ss.slots = r.varint();
-    ss.fast_obs = r.varint();
-    ss.fast_viol = r.varint();
-    ss.slow_obs = r.varint();
-    ss.slow_viol = r.varint();
-    ss.cum_obs = r.varint();
-    ss.cum_viol = r.varint();
-    ss.breaches = r.varint();
-    ss.breaching = r.boolean();
-    config_.slo->import_state(ss);
-  }
+  if (has_slo) config_.slo->import_state(decode_slo_tracker(r));
 
   meter_->restore_joules(r.f64());
 
@@ -872,7 +752,7 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   report_.pms_used_max = r.varint();
   report_.pms_used_timeline = r.size_vec();
   report_.migrations_per_slot = r.size_vec();
-  const std::size_t n_events = r.varint();
+  const std::size_t n_events = r.count();
   report_.events.reserve(n_events);
   for (std::size_t i = 0; i < n_events; ++i) {
     MigrationEvent ev;
@@ -902,8 +782,7 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   if (has_injector) {
     fault::FaultInjectorState fs;
     for (auto& s : fs.rng) s = r.u64();
-    fs.up.resize(r.varint());
-    for (auto& b : fs.up) b = r.u8();
+    fs.up = r.u8_vec();
     fs.next_scripted = r.varint();
     fs.last_slot = r.varint() - 1;  // 0 decodes back to the -1 sentinel
     fs.solver_down_until = r.varint();
@@ -915,7 +794,7 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
     r.fail("recovery controller presence mismatch");
   if (has_recovery) {
     fault::RecoveryControllerState rs;
-    rs.queue.resize(r.varint());
+    rs.queue.resize(r.count());
     for (auto& q : rs.queue) {
       q.vm = r.varint();
       const std::uint8_t reason = r.u8();
@@ -933,11 +812,10 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
     recovery_->import_state(rs);
   }
 
-  const std::size_t n_aborted = r.varint();
-  if (!aborted_once_.empty() && n_aborted != aborted_once_.size())
+  const std::vector<std::uint8_t> aborted = r.u8_vec();
+  if (!aborted_once_.empty() && aborted.size() != aborted_once_.size())
     r.fail("aborted_once size mismatch");
-  aborted_once_.resize(n_aborted);
-  for (std::size_t i = 0; i < n_aborted; ++i) aborted_once_[i] = r.u8() != 0;
+  aborted_once_.assign(aborted.begin(), aborted.end());
   next_phase_ = r.varint();
 
   const bool rec_first = r.boolean();
@@ -952,7 +830,7 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   for (std::size_t i = 0; i < n_hist; ++i)
     decode_observation(r, i, hist_active, hist_violated, hist_ob);
   history_ = durable::StateWriter{};
-  history_.raw(std::string_view(loaded->blob)
+  history_.raw(std::string_view(loaded.blob)
                    .substr(hist_begin, r.pos() - hist_begin));
   history_crc_ = obs::trace_detail::crc32(history_.data());
 
@@ -970,32 +848,15 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   }
   r.expect_done();
 
-  // WAL suffix: everything committed after the snapshot re-executes under
-  // byte-level verification.  A torn tail was already dropped by the
-  // scanner; a WAL with the wrong epoch is ignored the same way.
-  const std::string wal_path = store_->wal_path(slot);
-  const durable::WalScan scan = durable::scan_wal(wal_path);
-  verify_groups_.clear();
-  if (scan.present && scan.base_slot == slot) {
-    verify_groups_ = scan.groups;
-    // Groups must cover consecutive slots from the snapshot on; stop at
-    // the first gap (everything after it is unreachable by replay).
-    for (std::size_t i = 0; i < verify_groups_.size(); ++i) {
-      if (verify_groups_[i].slot != slot + i) {
-        verify_groups_.resize(i);
-        break;
-      }
-    }
-  }
+  // WAL suffix: everything committed after the snapshot re-executes as
+  // run() goes, each slot's group verified against the journaled one.
+  const std::size_t replay_slots = point->suffix.size();
   start_slot_ = slot;
-  wal_base_slot_ = slot;
-  replay_upto_ = slot + verify_groups_.size();
-  wal_ = std::make_unique<durable::WalWriter>(
-      wal_path, slot, config_.durability->fsync);
+  journal_->resume(std::move(*point));
 
-  // The kill that ended the previous attempt fired at replay_upto_; its
-  // RNG draw will recur on replay, but the abort must not.
-  if (injector_) injector_->suppress_kills_before(replay_upto_ + 1);
+  // The kill that ended the previous attempt fired at the resume slot;
+  // its RNG draw will recur on replay, but the abort must not.
+  if (injector_) injector_->suppress_kills_before(slot + replay_slots + 1);
 
   // Discard the killed run's partial trace tail; replay re-emits the
   // identical bytes from the checkpoint on.
@@ -1011,8 +872,8 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   }
 
   BURSTQ_COUNT("durable.restores", 1);
-  BURSTQ_COUNT("durable.replay_slots", verify_groups_.size());
-  return RestoreInfo{slot, verify_groups_.size()};
+  BURSTQ_COUNT("durable.replay_slots", replay_slots);
+  return RestoreInfo{slot, replay_slots};
 }
 
 std::vector<std::vector<bool>> record_violation_trace(

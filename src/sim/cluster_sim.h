@@ -20,15 +20,14 @@
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <initializer_list>
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "durable/durable.h"
-#include "durable/snapshot.h"
+#include "durable/journal.h"
 #include "durable/state_codec.h"
-#include "durable/wal.h"
 #include "fault/injector.h"
 #include "fault/recovery.h"
 #include "placement/placement.h"
@@ -185,14 +184,15 @@ class ClusterSimulator {
   /// Writes a snapshot + rotates the WAL when slot `t` is a checkpoint
   /// boundary (top of slot, before any slot-t work).
   void maybe_checkpoint(std::size_t t);
+  /// CRC of the construction arguments a snapshot does not carry.
+  [[nodiscard]] std::uint32_t config_digest() const;
   /// Serializes the simulator state at the top of slot `t` into
   /// snapshot_, all but the observation history.  Returns the offset in
   /// snapshot_ where the snapshot blob carries history_.
   [[nodiscard]] std::size_t encode_state(std::size_t t);
-  void journal(durable::WalRecord type, std::string payload);
-  /// Frames + commits this slot's journal group; during replay verifies
-  /// it byte-for-byte against the pre-kill WAL (divergence is loud).
-  void commit_slot(std::size_t t);
+  /// Journals one record of varint fields (no-op without durability).
+  void journal(durable::WalRecord type,
+               std::initializer_list<std::uint64_t> fields);
   /// CRC of the VM -> PM mapping, stamped on every WAL group.
   [[nodiscard]] std::uint32_t placement_crc();
   /// Applies this slot's faults: stalls and aborts in-flight copies,
@@ -240,14 +240,9 @@ class ClusterSimulator {
   std::optional<FlightSlotRecorder> recorder_;
   std::size_t start_slot_{0};  ///< run() resumes here after a restore
 
-  // Durable persistence (present only when config_.durability is set).
-  std::optional<durable::SnapshotStore> store_;
-  std::unique_ptr<durable::WalWriter> wal_;
-  std::size_t wal_base_slot_{0};
-  /// Pre-kill WAL groups to verify against during replay, indexed by
-  /// slot - wal_base_slot_; replay covers [start_slot_, replay_upto_).
-  std::vector<durable::WalGroup> verify_groups_;
-  std::size_t replay_upto_{0};
+  /// Snapshots + WAL, one group per slot (present only when
+  /// config_.durability is set).
+  std::optional<durable::Journal> journal_;
 
   /// Every closed slot's observation, encoded once when the slot closes
   /// and written verbatim into each snapshot: a restore slices these

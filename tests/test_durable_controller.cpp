@@ -9,15 +9,19 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "core/controller.h"
-#include "durable/controller_store.h"
+#include "core/durable_controller.h"
 #include "durable/durable.h"
 #include "durable/snapshot.h"
+#include "durable/state_codec.h"
 #include "obs/slo.h"
+#include "obs/trace_codec.h"
 
 namespace burstq {
 namespace {
@@ -43,7 +47,7 @@ ControllerConfig base_config() {
 /// Mixes admits, ticks, resizes, departs, and a PM crash/recover pair;
 /// decisions that consult controller state (is tenant 0 live?) are
 /// deterministic too — both runs see identical state at every index.
-void apply_op(durable::DurableController& d, std::size_t i) {
+void apply_op(DurableController& d, std::size_t i) {
   const TenantId t{(i / 7) % 3};
   switch (i % 7) {
     case 0:
@@ -97,16 +101,16 @@ class DurableControllerTest : public ::testing::Test {
     return d;
   }
 
-  durable::DurableController fresh(std::size_t every = 8,
+  DurableController fresh(std::size_t every = 8,
                                    std::size_t fleet = 6) {
-    return durable::DurableController(pms(fleet), base_config(), Rng(77),
+    return DurableController(pms(fleet), base_config(), Rng(77),
                                       dcfg(every));
   }
 
   /// Final state of the 40-op script with no interruption.
   std::string uninterrupted_state() {
     reset_dir();
-    durable::DurableController d = fresh();
+    DurableController d = fresh();
     for (std::size_t i = 0; i < 40; ++i) apply_op(d, i);
     std::string state = d.controller().export_state();
     reset_dir();
@@ -117,7 +121,7 @@ class DurableControllerTest : public ::testing::Test {
 };
 
 TEST_F(DurableControllerTest, OpsAreJournaledAndSnapshotsPruned) {
-  durable::DurableController d = fresh();
+  DurableController d = fresh();
   EXPECT_FALSE(d.has_state());
   for (std::size_t i = 0; i < 40; ++i) apply_op(d, i);
   EXPECT_EQ(d.op_seq(), 40u);
@@ -140,11 +144,11 @@ TEST_F(DurableControllerTest, KillRestartStateIsByteIdentical) {
   for (const std::size_t kill : {8u, 13u, 39u}) {
     reset_dir();
     {
-      durable::DurableController b = fresh();
+      DurableController b = fresh();
       for (std::size_t i = 0; i < kill; ++i) apply_op(b, i);
     }  // "power loss": the instance goes away, the directory stays
 
-    durable::DurableController c = fresh();
+    DurableController c = fresh();
     ASSERT_TRUE(c.has_state());
     const auto info = c.recover();
     EXPECT_EQ(info.snapshot_op + info.replayed_ops, kill);
@@ -163,17 +167,17 @@ TEST_F(DurableControllerTest, MultipleKillsStillConverge) {
 
   reset_dir();
   {
-    durable::DurableController a = fresh();
+    DurableController a = fresh();
     for (std::size_t i = 0; i < 5; ++i) apply_op(a, i);
   }
   std::size_t resumed = 0;
   {
-    durable::DurableController b = fresh();
+    DurableController b = fresh();
     resumed = b.recover().snapshot_op + 5 - 5;  // snapshot 0, replay 5
     EXPECT_EQ(b.op_seq(), 5u);
     for (std::size_t i = 5; i < 23; ++i) apply_op(b, i);
   }
-  durable::DurableController c = fresh();
+  DurableController c = fresh();
   const auto info = c.recover();
   EXPECT_EQ(info.snapshot_op, 16u);
   EXPECT_EQ(c.op_seq(), 23u);
@@ -184,10 +188,10 @@ TEST_F(DurableControllerTest, MultipleKillsStillConverge) {
 
 TEST_F(DurableControllerTest, MidWindowRecoverReplaysExactSuffix) {
   {
-    durable::DurableController a = fresh();
+    DurableController a = fresh();
     for (std::size_t i = 0; i < 13; ++i) apply_op(a, i);
   }
-  durable::DurableController b = fresh();
+  DurableController b = fresh();
   const auto info = b.recover();
   EXPECT_EQ(info.snapshot_op, 8u);
   EXPECT_EQ(info.replayed_ops, 5u);
@@ -198,7 +202,7 @@ TEST_F(DurableControllerTest, TornWalTailRecoversValidPrefix) {
 
   reset_dir();
   {
-    durable::DurableController a = fresh();
+    DurableController a = fresh();
     for (std::size_t i = 0; i < 13; ++i) apply_op(a, i);
   }
   // Chop the journal mid-frame: the final committed group (op 12) turns
@@ -208,7 +212,7 @@ TEST_F(DurableControllerTest, TornWalTailRecoversValidPrefix) {
   const auto size = std::filesystem::file_size(wal);
   std::filesystem::resize_file(wal, size - 3);
 
-  durable::DurableController b = fresh();
+  DurableController b = fresh();
   const auto info = b.recover();
   EXPECT_EQ(info.snapshot_op, 8u);
   EXPECT_EQ(info.replayed_ops, 4u);
@@ -222,7 +226,7 @@ TEST_F(DurableControllerTest, TornWalTailRecoversValidPrefix) {
 
 TEST_F(DurableControllerTest, CorruptSnapshotFailsLoudlyWithOffset) {
   {
-    durable::DurableController a = fresh();
+    DurableController a = fresh();
     for (std::size_t i = 0; i < 13; ++i) apply_op(a, i);
   }
   const durable::SnapshotStore store(dir_, false);
@@ -238,7 +242,7 @@ TEST_F(DurableControllerTest, CorruptSnapshotFailsLoudlyWithOffset) {
     f.seekp(40);
     f.write(&byte, 1);
   }
-  durable::DurableController b = fresh();
+  DurableController b = fresh();
   try {
     (void)b.recover();
     FAIL() << "corrupt snapshot must not recover";
@@ -251,21 +255,21 @@ TEST_F(DurableControllerTest, CorruptSnapshotFailsLoudlyWithOffset) {
 
 TEST_F(DurableControllerTest, RecoverIntoDifferentFleetIsRejected) {
   {
-    durable::DurableController a = fresh();
+    DurableController a = fresh();
     for (std::size_t i = 0; i < 10; ++i) apply_op(a, i);
   }
-  durable::DurableController b = fresh(8, 5);  // one PM fewer
+  DurableController b = fresh(8, 5);  // one PM fewer
   EXPECT_THROW((void)b.recover(), durable::CorruptState);
 }
 
 TEST_F(DurableControllerTest, RecoverWithoutStateThrows) {
-  durable::DurableController d = fresh();
+  DurableController d = fresh();
   EXPECT_FALSE(d.has_state());
   EXPECT_THROW((void)d.recover(), durable::CorruptState);
 }
 
 TEST_F(DurableControllerTest, InvalidOpsAreNotJournaled) {
-  durable::DurableController d = fresh();
+  DurableController d = fresh();
   (void)d.admit(vm(6.0, 5.0));
   const std::size_t before = d.op_seq();
   EXPECT_THROW(d.depart(TenantId{99}), InvalidArgument);
@@ -275,6 +279,72 @@ TEST_F(DurableControllerTest, InvalidOpsAreNotJournaled) {
   // A rejected op never reached the journal: the sequence is unchanged
   // and a recover replays only valid ops.
   EXPECT_EQ(d.op_seq(), before);
+}
+
+TEST_F(DurableControllerTest, SnapshotAndWalBytesMatchGolden) {
+  // The CRC-32 of every snapshot and journal a fixed-seed controller
+  // writes across five checkpoint epochs, with an SLO tracker attached
+  // and a kill + recover mid-window.  The values pin the on-disk formats:
+  // a refactor of the journal or the state codecs must leave every byte
+  // where it was.  Files are read after every op because prune() keeps
+  // only the newest two pairs; a journal's last reading is its final one.
+  obs::SloOptions so;
+  so.rho = 0.05;
+  ControllerConfig cfg = base_config();
+  std::map<std::string, std::uint32_t> got;
+  const auto read_dir = [&] {
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream ss;
+      ss << in.rdbuf();
+      got[entry.path().filename().string()] =
+          obs::trace_detail::crc32(ss.str());
+    }
+  };
+  {
+    obs::SloTracker slo(6, so);
+    cfg.slo = &slo;
+    DurableController a(pms(6), cfg, Rng(77), dcfg());
+    for (std::size_t i = 0; i < 21; ++i) {
+      apply_op(a, i);
+      read_dir();
+    }
+  }  // killed between ops 20 and 21
+  obs::SloTracker slo(6, so);
+  cfg.slo = &slo;
+  DurableController b(pms(6), cfg, Rng(77), dcfg());
+  const auto info = b.recover();
+  EXPECT_EQ(info.snapshot_op, 16u);
+  EXPECT_EQ(info.replayed_ops, 5u);
+  read_dir();
+  for (std::size_t i = 21; i < 40; ++i) {
+    apply_op(b, i);
+    read_dir();
+  }
+  // The script exercised every op type the golden values stand for.
+  const ControllerStats& st = b.controller().stats();
+  EXPECT_GT(st.admissions, 0u);
+  EXPECT_GT(st.departures, 0u);
+  EXPECT_GT(st.resizes, 0u);
+  EXPECT_GT(st.pm_crashes, 0u);
+  EXPECT_GT(st.pm_recoveries, 0u);
+
+  const std::map<std::string, std::uint32_t> want = {
+      {"snap-000000000000.bqss", 0x025bfce7u},
+      {"snap-000000000008.bqss", 0x72666664u},
+      {"snap-000000000016.bqss", 0x4c0995aeu},
+      {"snap-000000000024.bqss", 0xfbffa62bu},
+      {"snap-000000000032.bqss", 0x44d3f022u},
+      {"wal-000000000000.bqwl", 0x25429184u},
+      {"wal-000000000008.bqwl", 0xa7f878eau},
+      {"wal-000000000016.bqwl", 0x699a7a3fu},
+      {"wal-000000000024.bqwl", 0xb4441a25u},
+      {"wal-000000000032.bqwl", 0x2959d107u},
+  };
+  std::ostringstream actual;
+  for (const auto& [name, crc] : got)
+    actual << name << " 0x" << std::hex << crc << '\n';
+  EXPECT_EQ(got, want) << actual.str();
 }
 
 // --- CloudController state round-trip (no journal) --------------------
@@ -317,14 +387,38 @@ TEST(ControllerState, TruncatedBlobFailsLoudly) {
   CloudController a(pms(4), base_config(), Rng(5));
   (void)a.admit(vm(6.0, 5.0));
   const std::string blob = a.export_state();
-  CloudController b(pms(4), base_config(), Rng(5));
-  try {
-    b.import_state(std::string_view(blob).substr(0, blob.size() / 2));
-    FAIL() << "truncated blob must not import";
-  } catch (const durable::CorruptState& e) {
-    EXPECT_NE(std::string(e.what()).find("corrupt at byte"),
-              std::string::npos)
-        << e.what();
+  std::vector<std::string> bad = {blob.substr(0, blob.size() / 2)};
+
+  // The tenant count raised past anything the stream could hold must
+  // fail as corruption, not as a huge allocation (std::bad_alloc at
+  // 2^50, std::length_error at 2^62).
+  durable::StateReader skip(blob, "blob");
+  (void)skip.u64();                               // version
+  (void)skip.u32();                               // config digest
+  for (int i = 0; i < 4; ++i) (void)skip.u64();   // RNG state
+  (void)skip.f64();                               // table p_on
+  (void)skip.f64();                               // table p_off
+  const std::size_t count_at = skip.pos();
+  (void)skip.varint();                            // tenant count
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 50, std::uint64_t{1} << 62}) {
+    durable::StateWriter w;
+    w.raw(std::string_view(blob).substr(0, count_at));
+    w.varint(n);
+    w.raw(std::string_view(blob).substr(skip.pos()));
+    bad.push_back(w.take());
+  }
+
+  for (const std::string& input : bad) {
+    CloudController b(pms(4), base_config(), Rng(5));
+    try {
+      b.import_state(input);
+      FAIL() << "corrupt blob must not import";
+    } catch (const durable::CorruptState& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt at byte"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

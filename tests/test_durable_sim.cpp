@@ -15,6 +15,7 @@
 #include "common/error.h"
 #include "durable/durable.h"
 #include "durable/snapshot.h"
+#include "durable/state_codec.h"
 #include "durable/wal.h"
 #include "obs/event_log.h"
 #include "obs/slo.h"
@@ -271,6 +272,19 @@ TEST_F(DurableSimTest, CorruptSnapshotFailsLoudly) {
   durable::SnapshotStore store(state, false);
   const std::string snap = store.snapshot_path(40);
   ASSERT_TRUE(fs::exists(snap));
+  const std::string blob = durable::SnapshotStore::load_file(snap).blob;
+  const auto expect_loud_failure = [&] {
+    ClusterSimulator second(inst, placed.placement, killed, Rng(16));
+    try {
+      (void)second.restore_from_durable();
+      FAIL() << "expected CorruptState";
+    } catch (const durable::CorruptState& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt at byte"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
   {
     std::fstream f(snap, std::ios::in | std::ios::out | std::ios::binary);
     const auto mid = static_cast<std::streamoff>(fs::file_size(snap) / 2);
@@ -281,15 +295,32 @@ TEST_F(DurableSimTest, CorruptSnapshotFailsLoudly) {
     b = static_cast<char>(b ^ 0x40);
     f.write(&b, 1);
   }
+  expect_loud_failure();
 
-  ClusterSimulator second(inst, placed.placement, killed, Rng(16));
-  try {
-    (void)second.restore_from_durable();
-    FAIL() << "expected CorruptState";
-  } catch (const durable::CorruptState& e) {
-    EXPECT_NE(std::string(e.what()).find("corrupt at byte"),
-              std::string::npos)
-        << e.what();
+  // A snapshot whose file CRC checks out but whose VM count is larger
+  // than the blob could hold must fail as corruption, not as a huge
+  // allocation (std::bad_alloc at 2^50, std::length_error at 2^62).
+  durable::StateReader skip(blob, "blob");
+  (void)skip.u64();                              // version
+  (void)skip.varint();                           // slot
+  (void)skip.u32();                              // config digest
+  for (int i = 0; i < 8; ++i) (void)skip.u64();  // both RNG states
+  const std::size_t chains = skip.varint();
+  for (std::size_t i = 0; i < chains; ++i) {
+    (void)skip.f64();
+    (void)skip.f64();
+    (void)skip.u8();
+  }
+  const std::size_t count_at = skip.pos();
+  (void)skip.varint();  // VM count
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 50, std::uint64_t{1} << 62}) {
+    durable::StateWriter w;
+    w.raw(std::string_view(blob).substr(0, count_at));
+    w.varint(n);
+    w.raw(std::string_view(blob).substr(skip.pos()));
+    store.write_snapshot(40, w.data());
+    expect_loud_failure();
   }
 }
 
