@@ -8,9 +8,15 @@
 // online rules handle churn, and the runtime loop keeps the performance
 // constraint honest while reclaiming PMs during maintenance windows.
 //
-// The controller owns a *dynamic* fleet: VMs arrive and depart at any
-// slot, so it keeps its own per-VM chains rather than a fixed
-// WorkloadEnsemble.
+// The controller drives a *dynamic* fleet: VMs arrive and depart at any
+// slot.  Admission state — the slot table, hosted lists, PM liveness and
+// the sharded admit index — lives in a LiveFleet (placement/live_fleet.h),
+// the same one OnlineConsolidator drives, so both apply one Eq. (17)
+// first-fit.  On top of it the controller keeps what only a running
+// cloud needs: a per-tenant ON/OFF chain (rather than a fixed
+// WorkloadEnsemble), the post-crash admission queue, the CVR-triggered
+// scheduler, maintenance, the CVR and energy trackers, and the state
+// codec.
 
 #pragma once
 
@@ -22,8 +28,8 @@
 
 #include "common/rng.h"
 #include "fault/recovery.h"
+#include "placement/live_fleet.h"
 #include "placement/queuing_ffd.h"
-#include "placement/sharded.h"
 #include "queuing/mapcal.h"
 #include "sim/energy.h"
 #include "sim/metrics.h"
@@ -128,12 +134,12 @@ class CloudController {
   /// next tick.  Idempotent on an up PM.
   void inject_pm_recover(PmId pm);
 
-  [[nodiscard]] bool pm_up(PmId pm) const { return up_[pm.value] != 0; }
-  [[nodiscard]] std::size_t n_pms() const { return pms_.size(); }
+  [[nodiscard]] bool pm_up(PmId pm) const { return fleet_.pm_up(pm); }
+  [[nodiscard]] std::size_t n_pms() const { return fleet_.n_pms(); }
   /// True when `id` names a live (admitted, not departed) tenant — the
   /// validity precondition of depart/resize/pm_of/spec_of.
   [[nodiscard]] bool tenant_live(TenantId id) const {
-    return id.valid() && id.slot < tenants_.size() && tenants_[id.slot].live;
+    return fleet_.live(id.slot);
   }
   /// Tenants awaiting re-placement after a crash.
   [[nodiscard]] std::size_t queued_tenants() const { return queue_.size(); }
@@ -162,58 +168,25 @@ class CloudController {
   void import_state(std::string_view blob);
 
  private:
-  struct Tenant {
-    VmSpec spec;
-    OnOffChain chain{OnOffParams{}};
-    PmId pm{};
-    bool live{false};
-  };
-
   struct QueuedTenant {
     std::size_t slot{0};
     std::size_t retries{0};
     std::size_t next_attempt{0};  ///< earliest tick (stats_.slots) to retry
   };
 
-  [[nodiscard]] std::vector<VmSpec> hosted_specs(PmId pm) const;
-
-  /// Routes `vm` through the shard index (sharded.h): home shard first,
-  /// then the remaining shards in fixed order, confirming candidates with
-  /// the exact Eq. (17) walk and honouring the decision budget.  `skip`
-  /// excludes one PM (the scheduler's migration source).  With one shard
-  /// and no budget this is exactly the legacy linear scan over up PMs.
-  std::optional<PmId> first_fit(const VmSpec& vm, std::size_t home,
-                                PmId skip = PmId{});
-
-  /// Next round-robin home shard for arrivals.
-  std::size_t next_home();
-
-  /// Recomputes the admissibility key of one PM (all PMs) in the shard
-  /// index: -inf while the PM is down, else the conservative slack under
-  /// the current table and hosted set.
-  void refresh_key(PmId pm);
-  void refresh_all_keys();
-  void run_scheduler(const std::vector<Resource>& load,
-                     std::vector<Resource>& mutable_load);
+  void run_scheduler(std::vector<Resource>& load);
   void run_maintenance();
   void drain_queue();
-  [[nodiscard]] std::size_t backoff_delay(std::size_t retries) const;
   [[nodiscard]] bool fleet_degraded() const;
+  /// True when the queue holds each parked tenant exactly once and
+  /// nothing else.
+  [[nodiscard]] bool queue_matches_parked() const;
 
-  std::vector<PmSpec> pms_;
   ControllerConfig config_;
   Rng rng_;
-  MapCalTable table_;
-  /// The uniform params table_ was last calibrated with (maintenance
-  /// recalibrates); serialized so import_state can rebuild the table.
-  OnOffParams table_params_{};
-  std::vector<Tenant> tenants_;
-  std::vector<std::size_t> free_slots_;
-  std::vector<std::vector<std::size_t>> on_pm_;  ///< tenant slots per PM
-  std::vector<std::uint8_t> up_;                 ///< PM liveness (1 = up)
-  ShardedAdmitIndex index_;   ///< per-shard slack trees (down PMs: -inf)
-  std::size_t route_seq_{0};  ///< round-robin arrival counter
-  std::vector<QueuedTenant> queue_;              ///< FIFO, crash victims
+  LiveFleet fleet_;
+  std::vector<OnOffChain> chains_;   ///< per fleet slot
+  std::vector<QueuedTenant> queue_;  ///< FIFO, crash victims (parked)
   CvrTracker tracker_;
   EnergyMeter meter_;
   ControllerStats stats_;

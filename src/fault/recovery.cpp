@@ -16,6 +16,17 @@ void RecoveryPolicy::validate() const {
                  "recovery backoff cap must be >= the base delay");
 }
 
+std::size_t backoff_delay(const RecoveryPolicy& policy, std::size_t retries) {
+  // 1x, 2x, 4x ... the base, saturating at the cap (and guarding the
+  // shift against pathological retry counts).
+  const std::size_t exponent = std::min(retries, policy.max_retries);
+  std::size_t delay = policy.backoff_base_slots;
+  for (std::size_t i = 0; i < exponent && delay < policy.backoff_cap_slots;
+       ++i)
+    delay *= 2;
+  return std::min(delay, policy.backoff_cap_slots);
+}
+
 RecoveryController::RecoveryController(const ProblemInstance& inst,
                                        RecoveryPolicy policy,
                                        std::size_t max_vms_per_pm,
@@ -24,18 +35,6 @@ RecoveryController::RecoveryController(const ProblemInstance& inst,
       policy_(policy),
       ladder_(max_vms_per_pm, rho, method) {
   policy_.validate();
-}
-
-std::size_t RecoveryController::backoff_delay(std::size_t retries) const {
-  // 1x, 2x, 4x ... the base, saturating at the cap (and guarding the
-  // shift against pathological retry counts).
-  const std::size_t exponent = std::min(retries, policy_.max_retries);
-  std::size_t delay = policy_.backoff_base_slots;
-  for (std::size_t i = 0; i < exponent; ++i) {
-    delay *= 2;
-    if (delay >= policy_.backoff_cap_slots) break;
-  }
-  return std::min(delay, policy_.backoff_cap_slots);
 }
 
 std::optional<PmId> RecoveryController::find_target(
@@ -61,7 +60,7 @@ void RecoveryController::enqueue(std::size_t vm, std::size_t slot) {
   q.vm = vm;
   q.reason = QueueReason::kNoFeasiblePm;
   q.retries = 0;
-  q.next_attempt = slot + backoff_delay(0);
+  q.next_attempt = slot + backoff_delay(policy_, 0);
   queue_.push_back(q);
   ++enqueued_total_;
   BURSTQ_COUNT("fault.queue.enqueued", 1);
@@ -116,7 +115,7 @@ std::size_t RecoveryController::drain(Placement& placement,
       q.vm = static_cast<std::size_t>(-1);  // mark admitted; erased below
     } else {
       q.reason = QueueReason::kRetryBackoff;
-      q.next_attempt = slot + backoff_delay(q.retries);
+      q.next_attempt = slot + backoff_delay(policy_, q.retries);
     }
   }
   std::erase_if(queue_, [](const QueuedVm& q) {

@@ -36,6 +36,12 @@ struct RecoveryPolicy {
   void validate() const;
 };
 
+/// Slots to wait before retry number `retries` + 1: the base delay
+/// doubled once per earlier retry (at most max_retries times), never more
+/// than the cap.
+[[nodiscard]] std::size_t backoff_delay(const RecoveryPolicy& policy,
+                                        std::size_t retries);
+
 /// Why a VM sits in the admission queue.
 enum class QueueReason { kNoFeasiblePm, kRetryBackoff };
 
@@ -113,7 +119,6 @@ class RecoveryController {
                                                 const OnOffParams& rounded);
 
   void enqueue(std::size_t vm, std::size_t slot);
-  [[nodiscard]] std::size_t backoff_delay(std::size_t retries) const;
 
   const ProblemInstance* inst_;
   RecoveryPolicy policy_;

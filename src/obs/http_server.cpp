@@ -180,9 +180,11 @@ void HttpServer::start(std::uint16_t port) {
                          "\r\nConnection: close\r\n\r\n";
       write_all(conn, head);
       write_all(conn, resp.body);
+      // Count before the shutdown: a client that has read the whole
+      // response must already see it counted.
+      impl->served.fetch_add(1, std::memory_order_relaxed);
       ::shutdown(conn, SHUT_RDWR);
       ::close(conn);
-      impl->served.fetch_add(1, std::memory_order_relaxed);
     }
   });
 }

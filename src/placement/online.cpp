@@ -1,118 +1,29 @@
 #include "placement/online.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 #include "obs/obs.h"
 #include "placement/cluster.h"
-#include "placement/incremental.h"
-#include "placement/placement.h"
 
 namespace burstq {
 
 OnlineConsolidator::OnlineConsolidator(std::vector<PmSpec> pms,
                                        QueuingFfdOptions options,
                                        OnOffParams initial_params)
-    : pms_(std::move(pms)),
-      options_(options),
-      params_(initial_params),
-      table_(options.max_vms_per_pm, initial_params, options.rho,
-             options.method),
-      on_pm_(pms_.size()),
-      rb_sum_(pms_.size(), 0.0),
-      re_max_(pms_.size(), 0.0) {
-  BURSTQ_REQUIRE(!pms_.empty(), "online consolidator needs at least one PM");
+    : options_(options),
+      fleet_(std::move(pms),
+             MapCalTable(options.max_vms_per_pm, initial_params, options.rho,
+                         options.method),
+             options.sharded) {
   options_.validate();
-  for (const auto& p : pms_) p.validate();
-  index_.reset(pms_.size(), options_.sharded.shards);
-  refresh_all_keys();
-}
-
-std::size_t OnlineConsolidator::next_home() {
-  const std::size_t home = route_seq_ % index_.shard_count();
-  ++route_seq_;
-  return home;
-}
-
-void OnlineConsolidator::refresh_key(PmId pm) {
-  index_.set_key(pm.value,
-                 conservative_admit_key(pms_[pm.value].capacity,
-                                        on_pm_[pm.value].size(),
-                                        rb_sum_[pm.value], re_max_[pm.value],
-                                        table_));
-}
-
-void OnlineConsolidator::refresh_all_keys() {
-  for (std::size_t j = 0; j < pms_.size(); ++j) refresh_key(PmId{j});
-}
-
-std::vector<VmSpec> OnlineConsolidator::hosted_specs(PmId pm) const {
-  std::vector<VmSpec> out;
-  out.reserve(on_pm_[pm.value].size());
-  for (std::size_t s : on_pm_[pm.value]) out.push_back(slots_[s].spec);
-  return out;
-}
-
-bool OnlineConsolidator::pm_admits(const VmSpec& vm, PmId pm) const {
-  // Same arithmetic as fits_with_reservation_specs, fed from the cached
-  // per-PM aggregates instead of a walk over the hosted specs.
-  const std::size_t k_new = on_pm_[pm.value].size() + 1;
-  if (k_new > table_.max_vms_per_pm()) return false;
-  const Resource block = std::max(vm.re, re_max_[pm.value]);
-  const Resource footprint =
-      block * static_cast<double>(table_.blocks(k_new)) + vm.rb +
-      rb_sum_[pm.value];
-  return footprint <= pms_[pm.value].capacity * (1.0 + kCapacityEpsilon);
-}
-
-void OnlineConsolidator::recompute_pm_aggregates(PmId pm) {
-  Resource rb = 0.0;
-  Resource re = 0.0;
-  for (std::size_t s : on_pm_[pm.value]) {
-    rb += slots_[s].spec.rb;
-    re = std::max(re, slots_[s].spec.re);
-  }
-  rb_sum_[pm.value] = rb;
-  re_max_[pm.value] = re;
-}
-
-std::optional<PmId> OnlineConsolidator::find_first_fit(const VmSpec& vm,
-                                                       std::size_t home) {
-  const auto outcome = index_.route(
-      vm.rb, home,
-      [&](std::size_t j) { return pm_admits(vm, PmId{j}); },
-      options_.sharded.decision_budget);
-  if (outcome.budget_exhausted)
-    BURSTQ_COUNT("placement.shard.budget_exhausted", 1);
-  if (outcome.pm == ShardedAdmitIndex::npos) return std::nullopt;
-  return PmId{outcome.pm};
-}
-
-VmHandle OnlineConsolidator::install(const VmSpec& vm, PmId pm) {
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = slots_.size();
-    slots_.emplace_back();
-  }
-  slots_[slot] = Slot{vm, pm, true, on_pm_[pm.value].size()};
-  on_pm_[pm.value].push_back(slot);
-  rb_sum_[pm.value] += vm.rb;
-  re_max_[pm.value] = std::max(re_max_[pm.value], vm.re);
-  refresh_key(pm);
-  ++live_count_;
-  return VmHandle{slot};
 }
 
 std::optional<VmHandle> OnlineConsolidator::add_vm(const VmSpec& vm) {
   vm.validate();
-  const auto pm = find_first_fit(vm, next_home());
+  const auto pm = fleet_.first_fit(vm, fleet_.next_home());
   if (!pm) return std::nullopt;
-  return install(vm, *pm);
+  return VmHandle{fleet_.place(vm, *pm)};
 }
 
 std::vector<std::optional<VmHandle>> OnlineConsolidator::add_batch(
@@ -126,181 +37,92 @@ std::vector<std::optional<VmHandle>> OnlineConsolidator::add_batch(
   const std::vector<std::size_t> order =
       queuing_ffd_order(batch, options_.cluster_buckets);
   for (std::size_t idx : order) {
-    const auto pm = find_first_fit(batch[idx], next_home());
-    if (pm) handles[idx] = install(batch[idx], *pm);
+    const auto pm = fleet_.first_fit(batch[idx], fleet_.next_home());
+    if (pm) handles[idx] = VmHandle{fleet_.place(batch[idx], *pm)};
   }
   return handles;
 }
 
 void OnlineConsolidator::remove_vm(VmHandle h) {
-  BURSTQ_REQUIRE(h.valid() && h.slot < slots_.size() && slots_[h.slot].live,
+  BURSTQ_REQUIRE(fleet_.live(h.slot),
                  "remove_vm on an invalid or dead handle");
-  Slot& slot = slots_[h.slot];
-  auto& list = on_pm_[slot.pm.value];
-  const std::size_t pos = slot.pos;
-  BURSTQ_ASSERT(pos < list.size() && list[pos] == h.slot,
-                "online PM lists out of sync");
-  // Swap-remove; O(1) like Placement::unassign.
-  const std::size_t moved = list.back();
-  list[pos] = moved;
-  slots_[moved].pos = pos;
-  list.pop_back();
-  if (list.empty()) {
-    rb_sum_[slot.pm.value] = 0.0;
-    re_max_[slot.pm.value] = 0.0;
-  } else {
-    rb_sum_[slot.pm.value] -= slot.spec.rb;
-    if (slot.spec.re >= re_max_[slot.pm.value])
-      recompute_pm_aggregates(slot.pm);
-  }
-  refresh_key(slot.pm);
-  slot.live = false;
-  free_slots_.push_back(h.slot);
-  --live_count_;
   // The queue size on the PM is implicitly "recalculated": reservation is
   // a pure function of the remaining hosted set, which just shrank, so the
   // invariant can only get slacker.
+  fleet_.remove(h.slot);
 }
 
 bool OnlineConsolidator::resize_vm(VmHandle h, const VmSpec& new_spec) {
-  BURSTQ_REQUIRE(h.valid() && h.slot < slots_.size() && slots_[h.slot].live,
+  BURSTQ_REQUIRE(fleet_.live(h.slot),
                  "resize_vm on an invalid or dead handle");
   new_spec.validate();
-  Slot& slot = slots_[h.slot];
-  const PmId pm = slot.pm;
-
-  // Fast path: current PM still satisfies Eq. (17) with the resized spec
-  // (its co-residents unchanged) — resize in place, no migration.
-  std::vector<VmSpec> others;
-  others.reserve(on_pm_[pm.value].size() - 1);
-  for (std::size_t s : on_pm_[pm.value])
-    if (s != h.slot) others.push_back(slots_[s].spec);
-  if (fits_with_reservation_specs(others, new_spec, pms_[pm.value].capacity,
-                                  table_)) {
-    slot.spec = new_spec;
-    recompute_pm_aggregates(pm);
-    refresh_key(pm);
-    BURSTQ_COUNT("online.resize.inplace", 1);
-    return true;
+  // One call site per outcome: BURSTQ_COUNT caches the counter per line.
+  switch (fleet_.resize(h.slot, new_spec)) {
+    case ResizeOutcome::kStayed:
+      BURSTQ_COUNT("online.resize.inplace", 1);
+      return true;
+    case ResizeOutcome::kMoved:
+      BURSTQ_COUNT("online.resize.moved", 1);
+      return true;
+    case ResizeOutcome::kRejected:
+      BURSTQ_COUNT("online.resize.rejected", 1);
+      return false;
   }
-
-  // Detach, then route the resized spec like an arrival whose home shard
-  // is the current PM's (locality-preserving and deterministic).
-  auto& list = on_pm_[pm.value];
-  const std::size_t pos = slot.pos;
-  const std::size_t moved = list.back();
-  list[pos] = moved;
-  slots_[moved].pos = pos;
-  list.pop_back();
-  recompute_pm_aggregates(pm);
-  refresh_key(pm);
-
-  const auto target = find_first_fit(new_spec, index_.shard_of(pm.value));
-  const VmSpec& chosen_spec = target ? new_spec : slot.spec;
-  const PmId chosen_pm = target ? *target : pm;
-  // On failure the original spec goes back to the original PM — always
-  // feasible, since that exact hosted set satisfied Eq. (17) before.
-  slot.spec = chosen_spec;
-  slot.pm = chosen_pm;
-  slot.pos = on_pm_[chosen_pm.value].size();
-  on_pm_[chosen_pm.value].push_back(h.slot);
-  rb_sum_[chosen_pm.value] += chosen_spec.rb;
-  re_max_[chosen_pm.value] =
-      std::max(re_max_[chosen_pm.value], chosen_spec.re);
-  refresh_key(chosen_pm);
-  // Two call sites on purpose: BURSTQ_COUNT caches the counter per line.
-  if (target)
-    BURSTQ_COUNT("online.resize.moved", 1);
-  else
-    BURSTQ_COUNT("online.resize.rejected", 1);
-  return target.has_value();
+  return false;
 }
 
 std::size_t OnlineConsolidator::recalibrate(double tolerance) {
-  if (live_count_ == 0) return 0;
+  if (fleet_.live_count() == 0) return 0;
 
   std::vector<VmSpec> live;
-  live.reserve(live_count_);
-  for (const auto& s : slots_)
-    if (s.live) live.push_back(s.spec);
+  live.reserve(fleet_.live_count());
+  for (std::size_t s = 0; s < fleet_.slot_count(); ++s)
+    if (fleet_.live(s)) live.push_back(fleet_.slot(s).spec);
 
   const OnOffParams fresh = round_uniform_params(live, options_.rounding);
-  if (std::abs(fresh.p_on - params_.p_on) <= tolerance &&
-      std::abs(fresh.p_off - params_.p_off) <= tolerance)
+  const OnOffParams& current = fleet_.table().params();
+  if (std::abs(fresh.p_on - current.p_on) <= tolerance &&
+      std::abs(fresh.p_off - current.p_off) <= tolerance)
     return 0;
 
-  params_ = fresh;
-  table_ = MapCalTable(options_.max_vms_per_pm, params_, options_.rho,
-                       options_.method);
-  // Every key depends on the mapping table; rebuild the whole index.
-  refresh_all_keys();
+  fleet_.set_table(MapCalTable(options_.max_vms_per_pm, fresh, options_.rho,
+                               options_.method));
 
   // Repair pass: a burstier population can make existing PMs violate
   // Eq. (17) under the new table.  Evict newest-first (cheapest to move in
   // an incremental system) and re-place via first-fit.
   std::size_t migrations = 0;
-  for (std::size_t j = 0; j < pms_.size(); ++j) {
+  for (std::size_t j = 0; j < fleet_.n_pms(); ++j) {
     const PmId pm{j};
-    while (!on_pm_[j].empty()) {
-      const std::size_t k = on_pm_[j].size();
-      const Resource reserved =
-          re_max_[j] * static_cast<double>(table_.blocks(
-                           std::min(k, table_.max_vms_per_pm()))) +
-          rb_sum_[j];
-      if (k <= table_.max_vms_per_pm() &&
-          reserved <= pms_[j].capacity * (1.0 + kCapacityEpsilon))
-        break;
-      const std::size_t victim = on_pm_[j].back();
-      on_pm_[j].pop_back();
-      slots_[victim].live = false;
-      --live_count_;
-      const VmSpec spec = slots_[victim].spec;
-      free_slots_.push_back(victim);
-      recompute_pm_aggregates(pm);
-      refresh_key(pm);
-      // Re-admit elsewhere; count as one migration either way (if nowhere
-      // fits the VM is dropped, which callers can detect via vms_hosted()).
+    while (!fleet_.holds_on(pm)) {
+      const std::size_t victim = fleet_.hosted(pm).back();
+      fleet_.park(victim);
+      // Count one migration either way (if nowhere fits the VM is
+      // dropped, which callers can detect via vms_hosted()).
       ++migrations;
-      add_vm(spec);
+      if (const auto target =
+              fleet_.first_fit(fleet_.slot(victim).spec, fleet_.next_home()))
+        fleet_.attach(victim, *target);
+      else
+        fleet_.remove(victim);
     }
   }
   return migrations;
 }
 
-std::size_t OnlineConsolidator::pms_used() const {
-  std::size_t used = 0;
-  for (const auto& list : on_pm_)
-    if (!list.empty()) ++used;
-  return used;
-}
-
 PmId OnlineConsolidator::pm_of(VmHandle h) const {
-  BURSTQ_REQUIRE(h.valid() && h.slot < slots_.size() && slots_[h.slot].live,
-                 "pm_of on an invalid or dead handle");
-  return slots_[h.slot].pm;
+  BURSTQ_REQUIRE(fleet_.live(h.slot), "pm_of on an invalid or dead handle");
+  return fleet_.slot(h.slot).pm;
 }
 
 const VmSpec& OnlineConsolidator::spec_of(VmHandle h) const {
-  BURSTQ_REQUIRE(h.valid() && h.slot < slots_.size() && slots_[h.slot].live,
-                 "spec_of on an invalid or dead handle");
-  return slots_[h.slot].spec;
+  BURSTQ_REQUIRE(fleet_.live(h.slot), "spec_of on an invalid or dead handle");
+  return fleet_.slot(h.slot).spec;
 }
 
 std::size_t OnlineConsolidator::count_on(PmId pm) const {
-  BURSTQ_REQUIRE(pm.value < on_pm_.size(), "PM index out of range");
-  return on_pm_[pm.value].size();
-}
-
-bool OnlineConsolidator::reservation_invariant_holds() const {
-  for (std::size_t j = 0; j < pms_.size(); ++j) {
-    const auto hosted = hosted_specs(PmId{j});
-    if (hosted.empty()) continue;
-    if (hosted.size() > table_.max_vms_per_pm()) return false;
-    if (reserved_footprint_specs(hosted, table_) >
-        pms_[j].capacity * (1.0 + kCapacityEpsilon))
-      return false;
-  }
-  return true;
+  BURSTQ_REQUIRE(pm.value < fleet_.n_pms(), "PM index out of range");
+  return fleet_.hosted(pm).size();
 }
 
 }  // namespace burstq

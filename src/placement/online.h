@@ -8,19 +8,15 @@
 // to round them to uniform values ... which requires periodical
 // recalculation of the rounded p_on and p_off."
 //
-// OnlineConsolidator owns the live cluster state and implements exactly
-// those rules, plus the periodic recalibration: when the rounded
-// parameters drift, the mapping table is rebuilt and PMs whose reservation
-// no longer fits are repaired by migrating their most-recently-added VMs.
-//
-// Placement decisions go through a ShardedAdmitIndex (sharded.h): the PM
-// fleet is split into options.sharded.shards contiguous shards, arrivals
-// are routed round-robin to a home shard and spill across the remaining
-// shards in fixed order, and options.sharded.decision_budget bounds the
-// exact Eq. (17) confirmations per decision (bounded-latency admission).
-// With the defaults — one shard, no budget — every decision is exactly
-// the legacy linear first-fit scan: the conservative key filter never
-// hides a feasible PM, so the first exact-confirmed PM is the same.
+// OnlineConsolidator runs the Section IV-E rules over a LiveFleet
+// (live_fleet.h), the slot table, hosted lists and sharded admit index it
+// shares with CloudController.  Arrivals are routed round-robin to a home
+// shard and spill across the others in fixed order (with the defaults —
+// one shard, no decision budget — exactly the linear first-fit scan).
+// It adds the Algorithm-2 visit order for batches and the
+// periodic recalibration: when the rounded parameters drift, the mapping
+// table is rebuilt and PMs whose reservation no longer fits are repaired
+// by migrating their most-recently-added VMs.
 
 #pragma once
 
@@ -28,8 +24,8 @@
 #include <optional>
 #include <vector>
 
+#include "placement/live_fleet.h"
 #include "placement/queuing_ffd.h"
-#include "placement/sharded.h"
 #include "placement/spec.h"
 
 namespace burstq {
@@ -65,13 +61,11 @@ class OnlineConsolidator {
   /// (reservation is a function of the remaining VMs).
   void remove_vm(VmHandle h);
 
-  /// Resizes a live VM to `new_spec`.  Fast path: if the current PM still
-  /// satisfies Eq. (17) with the resized spec, the VM stays put.
-  /// Otherwise it is detached and routed like a fresh arrival (home =
-  /// its current PM's shard); if no PM admits the new spec the original
-  /// spec is restored on the original PM (always feasible — the PM was
-  /// valid before) and false is returned.  The handle stays valid in
-  /// every case.
+  /// Resizes a live VM to `new_spec`: it stays put while its PM still
+  /// satisfies Eq. (17), else it is routed like a fresh arrival (home =
+  /// its PM's shard); when no PM admits the new spec the original spec
+  /// stays on the original PM and false is returned.  The handle stays
+  /// valid in every case.
   bool resize_vm(VmHandle h, const VmSpec& new_spec);
 
   /// Recomputes the rounded (p_on, p_off) from the VMs currently hosted;
@@ -81,65 +75,27 @@ class OnlineConsolidator {
   /// number of repair migrations performed.
   std::size_t recalibrate(double tolerance = 1e-3);
 
-  [[nodiscard]] std::size_t pms_used() const;
-  [[nodiscard]] std::size_t vms_hosted() const { return live_count_; }
+  [[nodiscard]] std::size_t pms_used() const { return fleet_.pms_used(); }
+  [[nodiscard]] std::size_t vms_hosted() const {
+    return fleet_.live_count();
+  }
   [[nodiscard]] PmId pm_of(VmHandle h) const;
   [[nodiscard]] const VmSpec& spec_of(VmHandle h) const;
   [[nodiscard]] std::size_t count_on(PmId pm) const;
-  [[nodiscard]] const MapCalTable& table() const { return table_; }
-  [[nodiscard]] const OnOffParams& rounded_params() const { return params_; }
+  [[nodiscard]] const MapCalTable& table() const { return fleet_.table(); }
+  [[nodiscard]] const OnOffParams& rounded_params() const {
+    return fleet_.table().params();
+  }
 
   /// True when every PM satisfies Eq. (17) under the current table —
   /// the invariant the class maintains after every mutation.
-  [[nodiscard]] bool reservation_invariant_holds() const;
+  [[nodiscard]] bool reservation_invariant_holds() const {
+    return fleet_.reservation_invariant_holds();
+  }
 
  private:
-  struct Slot {
-    VmSpec spec;
-    PmId pm;
-    bool live{false};
-    std::size_t pos{0};  ///< index of this slot in on_pm_[pm]
-  };
-
-  /// Gathers the hosted specs on one PM (helper for the independent
-  /// walk-based invariant validation).
-  [[nodiscard]] std::vector<VmSpec> hosted_specs(PmId pm) const;
-
-  /// Eq. (17) admission check against the cached per-PM aggregates; O(1).
-  [[nodiscard]] bool pm_admits(const VmSpec& vm, PmId pm) const;
-
-  /// Rebuilds rb_sum_/re_max_ for one PM from its slot list (used after
-  /// removals that may retire the max-Re member).
-  void recompute_pm_aggregates(PmId pm);
-
-  /// Routes `vm` through the shard index: home shard first, then the
-  /// remaining shards in fixed order, confirming candidates with
-  /// pm_admits and honouring the decision budget.  With one shard this
-  /// is exactly the legacy linear first-fit.
-  std::optional<PmId> find_first_fit(const VmSpec& vm, std::size_t home);
-
-  /// Next round-robin home shard (advances a deterministic counter).
-  std::size_t next_home();
-
-  /// Recomputes the conservative admissibility key of one PM (all PMs)
-  /// in the shard index from the cached aggregates.
-  void refresh_key(PmId pm);
-  void refresh_all_keys();
-
-  VmHandle install(const VmSpec& vm, PmId pm);
-
-  std::vector<PmSpec> pms_;
   QueuingFfdOptions options_;
-  OnOffParams params_;
-  MapCalTable table_;
-  std::vector<Slot> slots_;
-  std::vector<std::size_t> free_slots_;
-  std::vector<std::vector<std::size_t>> on_pm_;  ///< slot ids per PM
-  std::vector<Resource> rb_sum_;  ///< per-PM cached sum of hosted Rb
-  std::vector<Resource> re_max_;  ///< per-PM cached max hosted Re
-  ShardedAdmitIndex index_;       ///< per-shard slack trees over the keys
-  std::size_t route_seq_{0};      ///< round-robin arrival counter
-  std::size_t live_count_{0};
+  LiveFleet fleet_;
 };
 
 }  // namespace burstq

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -22,6 +23,7 @@
 #include "durable/state_codec.h"
 #include "obs/slo.h"
 #include "obs/trace_codec.h"
+#include "sim/state_codecs.h"
 
 namespace burstq {
 namespace {
@@ -383,6 +385,77 @@ TEST(ControllerState, ExportImportRoundTripsAndStaysInLockstep) {
   EXPECT_EQ(a.stats().energy_wh, b.stats().energy_wh);
 }
 
+/// The fleet section of a CloudController blob, decoded so a test can
+/// corrupt one field and re-encode everything else byte for byte.
+struct FleetSection {
+  struct Tenant {
+    bool live{false};
+    VmSpec spec{};
+    std::uint8_t chain{0};
+    std::size_t pm_plus_one{0};  ///< 0 = parked
+  };
+  std::string head;  ///< version, config digest, RNG, table params
+  std::vector<Tenant> tenants;
+  std::vector<std::size_t> free_slots;
+  std::vector<std::vector<std::size_t>> lists;
+  std::vector<std::uint8_t> up;
+  std::size_t route_seq{0};
+  std::vector<std::array<std::size_t, 3>> queue;  ///< slot, retries, next
+  std::string tail;  ///< trackers, stats, SLO
+};
+
+FleetSection split_fleet(const std::string& blob) {
+  durable::StateReader r(blob, "blob");
+  (void)r.u64();                              // version
+  (void)r.u32();                              // config digest
+  for (int i = 0; i < 4; ++i) (void)r.u64();  // RNG state
+  (void)r.f64();                              // table p_on
+  (void)r.f64();                              // table p_off
+  FleetSection f;
+  f.head = blob.substr(0, r.pos());
+  f.tenants.resize(r.count());
+  for (auto& t : f.tenants) {
+    t.live = r.boolean();
+    if (!t.live) continue;
+    t.spec = decode_vm_spec(r);
+    t.chain = r.u8();
+    t.pm_plus_one = r.varint();
+  }
+  f.free_slots = r.size_vec();
+  f.lists.resize(r.varint());
+  for (auto& list : f.lists) list = r.size_vec();
+  f.up = r.u8_vec();
+  f.route_seq = r.varint();
+  f.queue.resize(r.count());
+  for (auto& q : f.queue)
+    for (std::size_t& x : q) x = r.varint();
+  f.tail = blob.substr(r.pos());
+  return f;
+}
+
+std::string join_fleet(const FleetSection& f) {
+  durable::StateWriter w;
+  w.raw(f.head);
+  w.varint(f.tenants.size());
+  for (const auto& t : f.tenants) {
+    w.boolean(t.live);
+    if (!t.live) continue;
+    encode_vm_spec(w, t.spec);
+    w.u8(t.chain);
+    w.varint(t.pm_plus_one);
+  }
+  w.size_vec(f.free_slots);
+  w.varint(f.lists.size());
+  for (const auto& list : f.lists) w.size_vec(list);
+  w.u8_vec(f.up);
+  w.varint(f.route_seq);
+  w.varint(f.queue.size());
+  for (const auto& q : f.queue)
+    for (const std::size_t x : q) w.varint(x);
+  w.raw(f.tail);
+  return w.take();
+}
+
 TEST(ControllerState, TruncatedBlobFailsLoudly) {
   CloudController a(pms(4), base_config(), Rng(5));
   (void)a.admit(vm(6.0, 5.0));
@@ -407,6 +480,51 @@ TEST(ControllerState, TruncatedBlobFailsLoudly) {
     w.varint(n);
     w.raw(std::string_view(blob).substr(skip.pos()));
     bad.push_back(w.take());
+  }
+
+  // Well-framed blobs whose fleet contradicts itself.  Three tenants on
+  // PM 0, the middle one departed: lists[0] = {0, 2}, free = {1}.
+  CloudController c(pms(4), base_config(), Rng(5));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(c.admit(vm(6.0, 5.0)).has_value());
+  c.depart(TenantId{1});
+  const std::string fleet_blob = c.export_state();
+  const FleetSection good = split_fleet(fleet_blob);
+  ASSERT_EQ(join_fleet(good), fleet_blob);
+  ASSERT_EQ(good.lists[0], (std::vector<std::size_t>{0, 2}));
+  const std::vector<void (*)(FleetSection&)> corruptions = {
+      // A slot id past the tenant count in a PM list.
+      [](FleetSection& f) { f.lists[0].push_back(f.tenants.size()); },
+      // A slot id past the tenant count on the free list.
+      [](FleetSection& f) { f.free_slots.push_back(f.tenants.size()); },
+      // A tenant's PM index equal to the fleet size.
+      [](FleetSection& f) { f.tenants[0].pm_plus_one = f.lists.size() + 1; },
+      // A live tenant listed twice on its PM.
+      [](FleetSection& f) { f.lists[0].push_back(0); },
+      // A live tenant in another PM's list.
+      [](FleetSection& f) {
+        f.lists[1].push_back(f.lists[0].back());
+        f.lists[0].pop_back();
+      },
+      // A live tenant missing from its PM's list.
+      [](FleetSection& f) { f.lists[0].pop_back(); },
+      // A dead slot in a PM list.
+      [](FleetSection& f) { f.lists[0].push_back(1); },
+      // A live slot on the free list.
+      [](FleetSection& f) { f.free_slots.push_back(0); },
+      // A dead slot missing from the free list.
+      [](FleetSection& f) { f.free_slots.clear(); },
+      // A placed tenant in the crash queue.
+      [](FleetSection& f) { f.queue.push_back({0, 0, 0}); },
+      // A parked tenant missing from the crash queue.
+      [](FleetSection& f) {
+        f.tenants[2].pm_plus_one = 0;
+        f.lists[0].pop_back();
+      },
+  };
+  for (const auto corrupt : corruptions) {
+    FleetSection f = good;
+    corrupt(f);
+    bad.push_back(join_fleet(f));
   }
 
   for (const std::string& input : bad) {

@@ -141,6 +141,27 @@ TEST(Online, RecalibrateRepairsOverflowingPms) {
   EXPECT_TRUE(oc.reservation_invariant_holds());
 }
 
+TEST(Online, RecalibrateEvictsTheNewestVmAfterADeparture) {
+  // Under the calm seed table four VMs share PM 0; under the bursty
+  // population's table only two fit.  A departure must not reorder the
+  // PM's list: the repair evicts the newest VM, not the third.
+  OnlineConsolidator oc(pms(2, 30.0), QueuingFfdOptions{}, kP);
+  const OnOffParams bursty{0.3, 0.05};
+  std::vector<VmHandle> h;
+  for (int i = 0; i < 4; ++i) {
+    const auto a = oc.add_vm(vm(1, 10, bursty));
+    ASSERT_TRUE(a.has_value());
+    ASSERT_EQ(oc.pm_of(*a), PmId{0});
+    h.push_back(*a);
+  }
+  oc.remove_vm(h[0]);
+  EXPECT_EQ(oc.recalibrate(), 1u);
+  EXPECT_EQ(oc.pm_of(h[1]), PmId{0});
+  EXPECT_EQ(oc.pm_of(h[2]), PmId{0});
+  EXPECT_EQ(oc.pm_of(h[3]), PmId{1});
+  EXPECT_TRUE(oc.reservation_invariant_holds());
+}
+
 TEST(Online, InvalidConstructionThrows) {
   EXPECT_THROW(OnlineConsolidator({}, QueuingFfdOptions{}, kP),
                InvalidArgument);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -131,6 +132,30 @@ TEST(RecoveryController, BackoffIsBoundedByTheCap) {
   }
   EXPECT_GE(rc.retries_total(), 10u);  // capped backoff keeps retrying
   EXPECT_LE(max_gap, policy.backoff_cap_slots);
+}
+
+TEST(RecoveryPolicy, BackoffDelayDoublesUpToTheCap) {
+  // Closed form: base * 2^min(retries, max_retries), capped.  The grid
+  // includes caps below the base and a max_retries that stops the
+  // doubling before the cap does.
+  for (const std::size_t base : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t cap :
+         {std::size_t{1}, std::size_t{8}, std::size_t{64}}) {
+      for (const std::size_t max_retries : {std::size_t{2}, std::size_t{8}}) {
+        fault::RecoveryPolicy policy;
+        policy.backoff_base_slots = base;
+        policy.backoff_cap_slots = cap;
+        policy.max_retries = max_retries;
+        for (std::size_t retries = 0; retries <= 12; ++retries) {
+          const std::size_t want =
+              std::min(base << std::min(retries, max_retries), cap);
+          EXPECT_EQ(fault::backoff_delay(policy, retries), want)
+              << "base " << base << " cap " << cap << " max_retries "
+              << max_retries << " retries " << retries;
+        }
+      }
+    }
+  }
 }
 
 // --- degradation ladder -----------------------------------------------

@@ -352,9 +352,8 @@ class OnlineModel {
       return v.rb == vm.rb && v.re == vm.re;
     });
     ASSERT_NE(it, list.end());
-    // Swap-remove, mirroring OnlineConsolidator's slot bookkeeping.
-    *it = list.back();
-    list.pop_back();
+    // Order-preserving, mirroring LiveFleet's hosted lists.
+    list.erase(it);
   }
 
  private:
@@ -467,6 +466,66 @@ TEST(OnlineSharded, ResizeInPlaceMoveAndRollback) {
   EXPECT_EQ(online.pm_of(*h), before);
   EXPECT_EQ(online.spec_of(*h).rb, 45.0);
   EXPECT_TRUE(online.reservation_invariant_holds());
+}
+
+// Both online front ends run on one LiveFleet, so the same op stream must
+// get the same answer from each: the same PM or the same rejection, and
+// the same handle for every admission.
+TEST(OnlineSharded, ControllerMakesTheSameDecisions) {
+  const std::vector<PmSpec> pms(12, PmSpec{90.0});
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(shards);
+    QueuingFfdOptions opt;
+    opt.rho = 0.02;
+    opt.max_vms_per_pm = 12;
+    opt.sharded.shards = shards;
+    ControllerConfig cfg;
+    cfg.ffd = opt;
+    // The controller calibrates its first table with default parameters.
+    OnlineConsolidator online(pms, opt, OnOffParams{});
+    CloudController ctl(pms, cfg, Rng(5));
+
+    Rng rng(2024);
+    std::vector<std::pair<VmHandle, TenantId>> live;
+    for (std::size_t step = 0; step < 600; ++step) {
+      const std::size_t kind = live.empty() ? 0 : rng.next_below(4);
+      if (kind <= 1) {
+        const VmSpec vm{kParams, rng.uniform(2.0, 20.0),
+                        rng.uniform(2.0, 20.0)};
+        const auto h = online.add_vm(vm);
+        const auto t = ctl.admit(vm);
+        ASSERT_EQ(h.has_value(), t.has_value()) << "admit, step " << step;
+        if (!h) continue;
+        ASSERT_EQ(h->slot, t->slot) << "step " << step;
+        ASSERT_EQ(online.pm_of(*h), ctl.pm_of(*t)) << "step " << step;
+        live.emplace_back(*h, *t);
+      } else if (kind == 2) {
+        const std::size_t pick = rng.next_below(live.size());
+        const auto [h, t] = live[pick];
+        live[pick] = live.back();
+        live.pop_back();
+        online.remove_vm(h);
+        ctl.depart(t);
+      } else {
+        const auto [h, t] = live[rng.next_below(live.size())];
+        // Up to 60: most resizes stay, some move, some find no PM.
+        const VmSpec vm{kParams, rng.uniform(2.0, 60.0),
+                        rng.uniform(2.0, 20.0)};
+        ASSERT_EQ(online.resize_vm(h, vm), ctl.resize(t, vm))
+            << "resize, step " << step;
+        ASSERT_EQ(online.pm_of(h), ctl.pm_of(t)) << "step " << step;
+        ASSERT_EQ(online.spec_of(h).rb, ctl.spec_of(t).rb) << "step " << step;
+      }
+      ASSERT_EQ(online.pms_used(), ctl.pms_used()) << "step " << step;
+    }
+    EXPECT_TRUE(online.reservation_invariant_holds());
+    EXPECT_TRUE(ctl.reservation_invariant_holds());
+    EXPECT_EQ(online.vms_hosted(), ctl.stats().vms_hosted);
+    // The stream reaches every admission and resize outcome.
+    EXPECT_GT(ctl.stats().rejections, 0u);
+    EXPECT_GT(ctl.stats().resize_migrations, 0u);
+    EXPECT_GT(ctl.stats().resize_rejections, 0u);
+  }
 }
 
 // --- Controller: sharded routing stays deterministic -------------------
