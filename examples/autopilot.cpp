@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
 
   ArgParser args("autopilot", "24h closed-loop operation demo");
   args.add_option("obs-out",
-                  "record a structured event log here (.jsonl, .csv for "
-                  "the long format, .btrc for binary columnar)");
+                  "record a structured event log here (.jsonl, or .btrc "
+                  "for binary columnar)");
   args.add_option("obs-level", "event level: off | decisions | detail",
                   "decisions");
   args.add_flag("obs-summary", "print a metrics digest on exit");
@@ -72,8 +72,13 @@ int main(int argc, char** argv) {
     set_thread_count_override(t);
   if (args.has("obs-out")) {
     const std::string path = args.get("obs-out");
-    obs::events().open(path, obs::event_format_from_path(path),
-                       obs::parse_event_level(args.get("obs-level")));
+    try {
+      obs::events().open(path, obs::event_format_from_path(path),
+                         obs::parse_event_level(args.get("obs-level")));
+    } catch (const InvalidArgument& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 2;
+    }
     obs::events().set_run_label("autopilot");
   }
 

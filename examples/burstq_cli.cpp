@@ -40,8 +40,8 @@
 //       resume, snapshot exports a verified snapshot blob to a file
 //
 // Subcommands that do real work accept --obs-out FILE (record a
-// structured event log; a .csv extension switches to the long CSV
-// format, .btrc to the binary columnar flight-recorder format),
+// structured event log: JSONL, or with a .btrc extension the binary
+// columnar flight-recorder format),
 // --obs-level off|decisions|detail, --obs-fsync (fsync the sink on
 // every flush), --obs-span-sample N (emit one span in N as
 // span.begin/span.end events; 0 = off), --obs-span-clock wall|virtual
@@ -54,10 +54,12 @@
 
 #include <algorithm>
 #include <charconv>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/args.h"
@@ -115,8 +117,9 @@ int usage_all() {
 
 ArgParser& add_obs_options(ArgParser& args) {
   args.add_option("obs-out",
-                  "record a structured event log here (.jsonl; .csv selects "
-                  "the long CSV format, .btrc the binary columnar format)");
+                  "record a structured event log here (.jsonl, or .btrc for "
+                  "the binary columnar format; export CSV with trace "
+                  "tocsv)");
   args.add_option("obs-level", "event level: off | decisions | detail",
                   "decisions");
   args.add_flag("obs-compress",
@@ -426,34 +429,6 @@ int cmd_replay(int argc, const char* const* argv) {
   return 0;
 }
 
-/// Renders one decoded value the way the CSV sink would have written it.
-std::string trace_value_text(const obs::EventValue& v) {
-  switch (v.tag) {
-    case obs::EventValue::Tag::kNumber: return csv_format(v.num);
-    case obs::EventValue::Tag::kString: return v.str;
-    case obs::EventValue::Tag::kBool: return v.b ? "true" : "false";
-    case obs::EventValue::Tag::kNull: return "null";
-  }
-  return {};
-}
-
-/// Prints events as long-format CSV rows (same layout as the CSV sink:
-/// a key-less kind row, then one row per field).  `first_id` numbers the
-/// first event — tail uses the absolute position in the file.
-void print_events_csv(std::ostream& os,
-                      const std::vector<obs::RecordedEvent>& events,
-                      std::uint64_t first_id) {
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const obs::RecordedEvent& ev = events[i];
-    const std::string id_kind =
-        std::to_string(first_id + i) + ',' + csv_escape(ev.kind) + ',';
-    os << id_kind << ",\n";
-    for (const auto& [key, value] : ev.fields)
-      os << id_kind << csv_escape(key) << ','
-         << csv_escape(trace_value_text(value)) << '\n';
-  }
-}
-
 int cmd_trace(int argc, const char* const* argv) {
   const std::string verb = argc >= 2 ? argv[1] : "";
   const bool known_verb = verb == "header" || verb == "head" ||
@@ -465,7 +440,7 @@ int cmd_trace(int argc, const char* const* argv) {
                  "the BTRC schema, head/tail/tocsv/query emit "
                  "id,kind,key,value CSV, profile/flame aggregate span "
                  "events");
-  args.add_option("log", "recorded flight log (.btrc, .jsonl, or .csv)");
+  args.add_option("log", "recorded flight log (.btrc or .jsonl)");
   args.add_option("n", "events for head/tail", "10");
   args.add_alias('n', "n");
   args.add_option("at-offset",
@@ -564,84 +539,53 @@ int cmd_trace(int argc, const char* const* argv) {
     const obs::Query query = obs::Query::parse(args.get("where"));
     const auto limit = static_cast<std::uint64_t>(args.get_int("limit"));
     const bool count_only = args.flag("count");
-    if (!count_only) std::cout << "id,kind,key,value\n";
+    if (!count_only) std::cout << obs::kEventCsvHeader;
     std::uint64_t matched = 0;
     obs::scan_events(path, [&](const obs::RecordedEvent& ev,
                                std::uint64_t /*offset*/,
                                std::uint64_t index) {
       if (!query.matches(ev)) return true;
       ++matched;
-      if (!count_only) print_events_csv(std::cout, {ev}, index);
+      if (!count_only) obs::print_event_csv(std::cout, ev, index);
       return limit == 0 || matched < limit;
     });
     if (count_only) std::cout << "matches=" << matched << "\n";
     return 0;
   }
 
-  std::cout << "id,kind,key,value\n";
-  if (verb == "tocsv") {
-    print_events_csv(std::cout, obs::read_events_auto(path), 0);
+  // head, tail and tocsv stream the trace once.  --at-offset resolves a
+  // harness or `slo explain` trace pointer: the walk starts at that byte
+  // and ids count from it.
+  std::optional<std::uint64_t> start;
+  if (verb != "tocsv" && args.has("at-offset"))
+    start = static_cast<std::uint64_t>(args.get_int("at-offset"));
+  std::cout << obs::kEventCsvHeader;
+  if (verb == "tocsv" || verb == "head") {
+    const std::uint64_t limit =
+        verb == "head" ? n : std::numeric_limits<std::uint64_t>::max();
+    obs::scan_events(
+        path,
+        [&](const obs::RecordedEvent& ev, std::uint64_t,
+            std::uint64_t index) {
+          if (index >= limit) return false;
+          obs::print_event_csv(std::cout, ev, index);
+          return index + 1 < limit;
+        },
+        start);
     return 0;
   }
-  if (verb == "head") {
-    if (args.has("at-offset")) {
-      // Resolve a harness trace pointer: decode n events starting at
-      // the recorded byte offset.  Ids are relative to the offset.
-      const auto offset =
-          static_cast<std::uint64_t>(args.get_int("at-offset"));
-      print_events_csv(std::cout,
-                       obs::read_events_at_offset(path, offset, n), 0);
-      return 0;
-    }
-    // Pull blocks only until enough events arrived, so head of a huge
-    // trace stays cheap.
-    if (obs::sniff_event_format(path) == obs::EventFormat::kBinary) {
-      obs::TraceReader reader(path);
-      std::vector<obs::RecordedEvent> events;
-      while (events.size() < n && reader.next_block(events)) {
-      }
-      if (events.size() > n) events.resize(n);
-      print_events_csv(std::cout, events, 0);
-    } else {
-      auto events = obs::read_events_auto(path);
-      if (events.size() > n) events.resize(n);
-      print_events_csv(std::cout, events, 0);
-    }
-    return 0;
-  }
-  // tail: stream blocks, keeping a bounded window of the last n events.
-  if (args.has("at-offset")) {
-    // Last n events at-or-after the pointer; ids are relative to the
-    // offset (parity with head --at-offset).
-    const auto offset =
-        static_cast<std::uint64_t>(args.get_int("at-offset"));
-    std::vector<obs::RecordedEvent> events = obs::read_events_at_offset(
-        path, offset, std::numeric_limits<std::size_t>::max());
-    const std::uint64_t total_after = events.size();
-    if (events.size() > n)
-      events.erase(events.begin(),
-                   events.end() - static_cast<std::ptrdiff_t>(n));
-    print_events_csv(std::cout, events, total_after - events.size());
-    return 0;
-  }
-  std::vector<obs::RecordedEvent> window;
-  std::uint64_t total = 0;
-  if (obs::sniff_event_format(path) == obs::EventFormat::kBinary) {
-    obs::TraceReader reader(path);
-    while (reader.next_block(window)) {
-      if (window.size() > n)
-        window.erase(window.begin(),
-                     window.end() - static_cast<std::ptrdiff_t>(n));
-    }
-    total = reader.info().events;
-  } else {
-    window = obs::read_events_auto(path);
-    total = window.size();
-    if (window.size() > n)
-      window.erase(window.begin(),
-                   window.end() - static_cast<std::ptrdiff_t>(n));
-  }
-  print_events_csv(std::cout, window, total - window.size());
+  // tail: keep a bounded window of the last n events.
+  std::deque<obs::RecordedEvent> window;
+  const std::uint64_t total = obs::scan_events(
+      path,
+      [&](const obs::RecordedEvent& ev, std::uint64_t, std::uint64_t) {
+        window.push_back(ev);
+        if (window.size() > n) window.pop_front();
+        return true;
+      },
+      start);
+  for (std::size_t i = 0; i < window.size(); ++i)
+    obs::print_event_csv(std::cout, window[i], total - window.size() + i);
   return 0;
 }
 

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
                   "instead of a sweep");
   args.add_option("obs-out",
                   "record fuzz.discrepancy/fuzz.summary events here "
-                  "(.jsonl; .csv selects CSV, .btrc binary columnar)");
+                  "(.jsonl, or .btrc for binary columnar)");
   args.add_option("obs-level", "event level: off | decisions | detail",
                   "decisions");
   if (!args.parse(argc, argv)) {

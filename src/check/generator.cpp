@@ -1,5 +1,6 @@
 #include "check/generator.h"
 
+#include <algorithm>
 #include <array>
 
 #include "common/rng.h"
@@ -71,8 +72,10 @@ FuzzCase generate_case(std::uint64_t case_seed, std::size_t index) {
   // for a given case seed so old discrepancy reports keep replaying.
   c.fault_slots = 30 + rng.next_below(31);       // 30..60
   c.fault_crash_slot = 1 + rng.next_below(10);   // early crash
-  c.fault_recover_slot =
-      c.fault_crash_slot + 5 + rng.next_below(20);
+  // Clamped inside the horizon after the draw, so the draw sequence (and
+  // every in-horizon case) stays as it was.
+  c.fault_recover_slot = std::min<std::size_t>(
+      c.fault_crash_slot + 5 + rng.next_below(20), c.fault_slots - 1);
   c.fault_solver_slot = rng.next_below(c.fault_slots);
   c.fault_solver_len = 1 + rng.next_below(15);
   c.fault_p_mig_fail =

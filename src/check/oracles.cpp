@@ -290,6 +290,26 @@ OracleReport check_mapcal_cache(const FuzzCase& c) {
   return OracleReport::pass();
 }
 
+fault::FaultPlan case_fault_plan(const FuzzCase& c, std::size_t n_pms,
+                                 const std::vector<fault::FaultEvent>& extra) {
+  fault::FaultPlan plan;
+  plan.seed = c.fault_seed;
+  plan.markov.p_mig_fail = c.fault_p_mig_fail;
+  const std::size_t victim_pm = c.fault_seed % n_pms;
+  plan.scripted = {
+      {c.fault_crash_slot, fault::FaultKind::kPmCrash, victim_pm, 0},
+      {c.fault_recover_slot, fault::FaultKind::kPmRecover, victim_pm, 0}};
+  plan.scripted.insert(plan.scripted.end(), extra.begin(), extra.end());
+  // Sorted by slot as the injector requires; same-slot events keep the
+  // order above.
+  std::stable_sort(plan.scripted.begin(), plan.scripted.end(),
+                   [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
+                     return a.slot < b.slot;
+                   });
+  plan.validate(n_pms, c.fault_slots);
+  return plan;
+}
+
 OracleReport check_recovery_invariants(const FuzzCase& c) {
   // Clamp to a fleet where a crash leaves at least one survivor PM, and
   // keep the per-case cost bounded (the simulator runs twice below).
@@ -302,30 +322,14 @@ OracleReport check_recovery_invariants(const FuzzCase& c) {
     return OracleReport::skip("starved fleet: no complete initial placement");
   const std::uint64_t sim_seed = rng.next_u64();
 
-  // Scripted crash-and-recover of one PM, one solver outage, plus an
-  // optional Markov migration-abort stream — sorted by slot as the
-  // injector requires.
-  fault::FaultPlan plan;
-  plan.seed = c.fault_seed;
-  plan.markov.p_mig_fail = c.fault_p_mig_fail;
-  const std::size_t victim_pm = c.fault_seed % n_pms;
-  plan.scripted.push_back(
-      {c.fault_crash_slot, fault::FaultKind::kPmCrash, victim_pm, 0});
-  plan.scripted.push_back(
-      {c.fault_recover_slot, fault::FaultKind::kPmRecover, victim_pm, 0});
-  plan.scripted.push_back({c.fault_solver_slot,
-                           fault::FaultKind::kSolverOutage, fault::kNoPm,
-                           c.fault_solver_len});
-  std::sort(plan.scripted.begin(), plan.scripted.end(),
-            [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
-              return a.slot < b.slot;
-            });
-  plan.validate(n_pms);
-
+  // Scripted crash-and-recover of one PM plus one solver outage.
   SimConfig cfg;
   cfg.slots = c.fault_slots;
   cfg.policy.rho = c.rho;
-  cfg.faults = plan;
+  cfg.faults = case_fault_plan(
+      c, n_pms,
+      {{c.fault_solver_slot, fault::FaultKind::kSolverOutage, fault::kNoPm,
+        c.fault_solver_len}});
 
   const auto run_once = [&] {
     // The MapCalTable memo cache is process-wide: a first run warming it
@@ -460,7 +464,6 @@ OracleReport check_durability_contract(const FuzzCase& c) {
   const std::size_t slots = std::max<std::size_t>(c.fault_slots, 8);
   const std::size_t kill_slot = 1 + c.fault_seed % (slots - 1);
   const std::size_t cadence = 1 + (c.fault_seed >> 8) % 12;
-  const std::size_t victim_pm = c.fault_seed % n_pms;
 
   std::ostringstream oss;
   oss << describe(c) << " n_vms=" << c.n_vms << " n_pms=" << n_pms
@@ -474,22 +477,9 @@ OracleReport check_durability_contract(const FuzzCase& c) {
   // ladder path depends on the process-wide table cache, which a restore
   // legitimately re-warms.
   const auto make_plan = [&](bool with_kill) {
-    fault::FaultPlan plan;
-    plan.seed = c.fault_seed;
-    plan.markov.p_mig_fail = c.fault_p_mig_fail;
-    plan.scripted.push_back(
-        {c.fault_crash_slot, fault::FaultKind::kPmCrash, victim_pm, 0});
-    plan.scripted.push_back(
-        {c.fault_recover_slot, fault::FaultKind::kPmRecover, victim_pm, 0});
-    if (with_kill)
-      plan.scripted.push_back(
-          {kill_slot, fault::FaultKind::kKill, fault::kNoPm, 0});
-    std::sort(plan.scripted.begin(), plan.scripted.end(),
-              [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
-                return a.slot < b.slot;
-              });
-    plan.validate(n_pms);
-    return plan;
+    if (!with_kill) return case_fault_plan(c, n_pms);
+    return case_fault_plan(
+        c, n_pms, {{kill_slot, fault::FaultKind::kKill, fault::kNoPm, 0}});
   };
 
   ScopedDirs tmp;

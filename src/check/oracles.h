@@ -31,10 +31,13 @@
 
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "check/generator.h"
+#include "fault/plan.h"
 
 namespace burstq::check {
 
@@ -72,6 +75,15 @@ OracleReport check_placement_engines(const FuzzCase& c);
 OracleReport check_mapcal_cache(const FuzzCase& c);
 OracleReport check_recovery_invariants(const FuzzCase& c);
 OracleReport check_durability_contract(const FuzzCase& c);
+
+/// The scripted fault plan of the recovery and durability oracles: PM
+/// `c.fault_seed % n_pms` crashes at c.fault_crash_slot and recovers at
+/// c.fault_recover_slot, plus `extra` events and the case's Markov
+/// migration-abort stream; sorted by slot and validated against the
+/// fleet and the c.fault_slots horizon (throws InvalidArgument).
+fault::FaultPlan case_fault_plan(
+    const FuzzCase& c, std::size_t n_pms,
+    const std::vector<fault::FaultEvent>& extra = {});
 
 /// Dispatch by id.
 OracleReport run_oracle(OracleId id, const FuzzCase& c);

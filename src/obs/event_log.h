@@ -1,8 +1,10 @@
 // Structured event log — the write side of the flight recorder.
 //
 // Events are append-only records (a kind plus flat key/value fields)
-// streamed to one file as JSONL (one JSON object per line, the replayable
-// format) or CSV (long format: id,kind,key,value — one row per field).
+// streamed to one file as JSONL (one JSON object per line) or BTRC (the
+// binary columnar format, obs/trace.h).  Both replay bit-identically;
+// `burstq_cli trace tocsv` exports either as long CSV
+// (id,kind,key,value — one row per field).
 // Emission is gated twice: a cheap atomic level check first (so a closed
 // or coarse log costs one relaxed load per call site), then a mutex only
 // when a line is actually written.  Events carry no wall-clock
@@ -31,17 +33,19 @@ class TraceWriter;
 /// per-slot observations — everything replay needs to re-derive CVR.
 enum class EventLevel : int { kOff = 0, kDecisions = 1, kDetail = 2 };
 
-/// kJsonl and kCsv are the text sinks; kBinary is the BTRC columnar
-/// flight-recorder format (obs/trace.h) — same event stream, ~5x smaller
-/// and an order of magnitude faster to read back.
-enum class EventFormat { kJsonl, kCsv, kBinary };
+/// kJsonl is the text sink; kBinary is the BTRC columnar flight-recorder
+/// format (obs/trace.h) — same event stream, ~5x smaller and an order of
+/// magnitude faster to read back.
+enum class EventFormat { kJsonl, kBinary };
 
-/// Canonical short name for a sink format: "jsonl" | "csv" | "btrc".
+/// Canonical short name for a sink format: "jsonl" | "btrc".
 std::string_view format_name(EventFormat format) noexcept;
 
 /// Picks the sink format from a path's extension: `.btrc` -> kBinary,
-/// `.csv` -> kCsv, anything else -> kJsonl.
-EventFormat event_format_from_path(std::string_view path) noexcept;
+/// anything else -> kJsonl.  A `.csv` path throws InvalidArgument naming
+/// `burstq_cli trace tocsv`, the CSV export, rather than silently
+/// writing JSONL under a CSV name.
+EventFormat event_format_from_path(std::string_view path);
 
 /// Parses "off" | "decisions" | "detail" (or "0" | "1" | "2");
 /// throws InvalidArgument otherwise.
@@ -123,7 +127,7 @@ class EventLog {
   void set_run_label(std::string label);
   [[nodiscard]] std::string run_label() const;
 
-  /// Short name of the most recently opened sink format ("jsonl", "csv",
+  /// Short name of the most recently opened sink format ("jsonl" or
   /// "btrc"), or "none" before the first open.  Sticky across close() so
   /// post-run artifact writers (bench obs summaries) can label output.
   [[nodiscard]] std::string sink_format_name() const;
@@ -144,8 +148,7 @@ class EventLog {
     std::string path;
     std::uint64_t bytes{0};
     std::uint64_t events{0};
-    std::uint64_t blocks{0};   ///< BTRC only
-    std::uint64_t next_id{0};  ///< CSV only
+    std::uint64_t blocks{0};  ///< BTRC only
   };
 
   [[nodiscard]] Checkpoint checkpoint();
@@ -168,7 +171,6 @@ class EventLog {
   EventFormat format_{EventFormat::kJsonl};
   std::atomic<int> level_{static_cast<int>(EventLevel::kOff)};
   std::atomic<std::uint64_t> written_{0};
-  std::uint64_t next_id_{0};
   std::string run_label_;
   std::string path_;
   std::string sink_format_name_{"none"};

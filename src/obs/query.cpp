@@ -2,7 +2,10 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <ostream>
 
+#include "common/csv.h"
 #include "common/error.h"
 #include "obs/trace.h"
 
@@ -40,22 +43,7 @@ bool compare(double lhs, double rhs, QueryOp op) {
   return false;
 }
 
-/// Text rendering used for string comparison (mirrors how the JSONL
-/// writer would have printed the value).
-std::string value_text(const EventValue& v) {
-  switch (v.tag) {
-    case EventValue::Tag::kString: return v.str;
-    case EventValue::Tag::kBool: return v.b ? "true" : "false";
-    case EventValue::Tag::kNull: return "null";
-    case EventValue::Tag::kNumber: break;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v.num);
-  return buf;
-}
-
-/// Numeric view of a field value; strings are coerced when they parse
-/// (CSV logs read everything back string-typed).
+/// Numeric view of a field value; strings are coerced when they parse.
 bool value_number(const EventValue& v, double* out) {
   switch (v.tag) {
     case EventValue::Tag::kNumber: *out = v.num; return true;
@@ -76,7 +64,9 @@ bool clause_matches(const QueryClause& c, const RecordedEvent& ev) {
   double field_num = 0.0;
   if (c.numeric && value_number(*v, &field_num))
     return compare(field_num, c.num, c.op);
-  const std::string text = value_text(*v);
+  // A number's text never equals a clause value that does not parse as
+  // a number, so how numbers render here does not matter.
+  const std::string text = trace_value_text(*v);
   switch (c.op) {
     case QueryOp::kEq: return text == c.text;
     case QueryOp::kNe: return text != c.text;
@@ -141,49 +131,117 @@ bool Query::matches(const RecordedEvent& ev) const {
   return true;
 }
 
-std::uint64_t scan_events(const std::string& path, const EventScanFn& fn) {
-  const EventFormat format = sniff_event_format(path);
+namespace {
+
+[[noreturn]] void bad_offset(const std::string& path, std::uint64_t offset,
+                             const std::string& why) {
+  throw InvalidArgument(path + ": trace pointer offset " +
+                        std::to_string(offset) + " " + why);
+}
+
+std::uint64_t scan_btrc(const std::string& path, const EventScanFn& fn,
+                        std::optional<std::uint64_t> start_offset) {
+  TraceReader reader(path);
+  std::vector<RecordedEvent> block;
+  if (start_offset) {
+    // Skip (integrity-checked, schema absorbed) until the start block.
+    while (reader.valid_offset() < *start_offset) {
+      if (!reader.next_block(block, /*decode=*/false))
+        bad_offset(path, *start_offset,
+                   "is past the end of the trace (last block ends at "
+                   "byte " +
+                       std::to_string(reader.valid_offset()) + ")");
+    }
+    if (reader.valid_offset() != *start_offset)
+      bad_offset(path, *start_offset,
+                 "is not a block boundary (nearest boundary is byte " +
+                     std::to_string(reader.valid_offset()) + ")");
+  }
   std::uint64_t total = 0;
-
-  if (format == EventFormat::kBinary) {
-    TraceReader reader(path);
-    std::vector<RecordedEvent> block;
-    while (true) {
-      const std::uint64_t block_start = reader.valid_offset();
-      block.clear();
-      if (!reader.next_block(block)) break;
-      for (std::size_t i = 0; i < block.size(); ++i)
-        if (!fn(block[i], block_start, total + i)) return total + i + 1;
-      total += block.size();
-    }
-    return total;
+  while (true) {
+    const std::uint64_t block_start = reader.valid_offset();
+    block.clear();
+    if (!reader.next_block(block)) break;
+    for (std::size_t i = 0; i < block.size(); ++i)
+      if (!fn(block[i], block_start, total + i)) return total + i + 1;
+    total += block.size();
   }
+  return total;
+}
 
-  if (format == EventFormat::kCsv) {
-    // Long CSV groups rows by id, so per-event byte offsets don't
-    // exist; deliver the decoded events with offset 0.
-    const std::vector<RecordedEvent> events = read_events_csv(path);
-    for (const RecordedEvent& ev : events) {
-      if (!fn(ev, 0, total)) return total + 1;
-      ++total;
-    }
-    return total;
-  }
+/// 1-based line number of the line starting at byte `offset`.  Only
+/// error paths pay for it.
+std::uint64_t line_number_at(const std::string& path, std::uint64_t offset) {
+  std::ifstream in(path, std::ios::in | std::ios::binary);
+  std::uint64_t line = 1;
+  char c = '\0';
+  for (std::uint64_t i = 0; i < offset && in.get(c); ++i)
+    if (c == '\n') ++line;
+  return line;
+}
 
+std::uint64_t scan_jsonl(const std::string& path, const EventScanFn& fn,
+                         std::optional<std::uint64_t> start_offset) {
   std::ifstream in(path, std::ios::in | std::ios::binary);
   BURSTQ_REQUIRE(in.is_open(), "cannot open trace file: " + path);
+  const std::uint64_t start = start_offset.value_or(0);
+  if (start > 0) {
+    // A line start follows a newline; anything else is a mid-line (or
+    // past-the-end) offset and would parse garbage.
+    in.seekg(static_cast<std::streamoff>(start - 1));
+    char prev = '\0';
+    if (!in.read(&prev, 1))
+      bad_offset(path, start, "is past the end of the trace");
+    if (prev != '\n')
+      bad_offset(path, start, "is not the start of a JSONL line");
+  }
+  std::uint64_t total = 0;
   std::string line;
-  std::uint64_t offset = 0;
+  std::string error;
+  std::uint64_t offset = start;
   while (std::getline(in, line)) {
     const std::uint64_t line_start = offset;
     offset += line.size() + 1;  // getline consumed the newline
-    std::string error;
     const auto ev = parse_event_line(line, &error);
-    if (!ev) continue;  // blank or foreign line
+    if (!ev) {
+      if (error.empty()) continue;  // blank line
+      throw InvalidArgument(
+          path + ":" + std::to_string(line_number_at(path, line_start)) +
+          ": " + error);
+    }
     if (!fn(*ev, line_start, total)) return total + 1;
     ++total;
   }
   return total;
+}
+
+}  // namespace
+
+std::uint64_t scan_events(const std::string& path, const EventScanFn& fn,
+                          std::optional<std::uint64_t> start_offset) {
+  return sniff_event_format(path) == EventFormat::kBinary
+             ? scan_btrc(path, fn, start_offset)
+             : scan_jsonl(path, fn, start_offset);
+}
+
+std::string trace_value_text(const EventValue& v) {
+  switch (v.tag) {
+    case EventValue::Tag::kNumber: return csv_format(v.num);
+    case EventValue::Tag::kString: return v.str;
+    case EventValue::Tag::kBool: return v.b ? "true" : "false";
+    case EventValue::Tag::kNull: return "null";
+  }
+  return {};
+}
+
+void print_event_csv(std::ostream& os, const RecordedEvent& ev,
+                     std::uint64_t id) {
+  const std::string id_kind =
+      std::to_string(id) + ',' + csv_escape(ev.kind) + ',';
+  os << id_kind << ",\n";
+  for (const auto& [key, value] : ev.fields)
+    os << id_kind << csv_escape(key) << ','
+       << csv_escape(trace_value_text(value)) << '\n';
 }
 
 }  // namespace burstq::obs

@@ -1,6 +1,6 @@
 // BTRC — the binary columnar flight-recorder format.
 //
-// The JSONL/CSV event sinks (obs/event_log.h) spend most of their bytes
+// The JSONL event sink (obs/event_log.h) spends most of its bytes
 // repeating key names and most of their read time in strtod; at
 // million-VM, multi-simulated-day scale the recorder becomes the I/O
 // bottleneck.  BTRC stores the same event stream columnar: events are
@@ -184,25 +184,24 @@ TraceFileInfo read_trace_info(const std::string& path);
 // ---- format dispatch -------------------------------------------------
 
 /// Sniffs the on-disk format from content, not extension: the BTRC magic,
-/// the long-CSV header line, else JSONL.  Throws InvalidArgument when the
-/// file cannot be opened.
+/// else JSONL.  Throws InvalidArgument when the file cannot be opened.
 EventFormat sniff_event_format(const std::string& path);
 
-/// Reads a recorded event stream in whatever format the file actually is
-/// (JSONL, long CSV, or BTRC).  CSV events come back string-typed — see
-/// read_events_csv.  `format`, when non-null, receives the sniffed
-/// format.
+/// Reads a whole recorded event stream in whatever format the file
+/// actually is (JSONL or BTRC), through the bulk readers
+/// read_events_jsonl / read_events_btrc.  `format`, when non-null,
+/// receives the sniffed format.  Streaming consumers use scan_events
+/// (obs/query.h) instead.
 std::vector<RecordedEvent> read_events_auto(const std::string& path,
                                             EventFormat* format = nullptr);
 
 /// Resolves a trace pointer (as emitted in harness invariant reports):
 /// reads up to `max_events` events starting at byte `offset` of the
-/// trace.  For BTRC files the offset must be a block boundary — the
-/// start of a schema or data block, i.e. a value TraceReader reports as
-/// valid_offset(); for JSONL it must be the start of a line.  Throws
-/// InvalidArgument when the offset lands mid-block/mid-line, points past
-/// the end of the file, or the file is a long-CSV event log (which has
-/// no stable per-event offsets).
+/// trace, through scan_events.  For BTRC files the offset must be a
+/// block boundary — the start of a schema or data block, i.e. a value
+/// TraceReader reports as valid_offset(); for JSONL it must be the start
+/// of a line.  Throws InvalidArgument when the offset lands
+/// mid-block/mid-line or points past the end of the file.
 std::vector<RecordedEvent> read_events_at_offset(const std::string& path,
                                                  std::uint64_t offset,
                                                  std::size_t max_events);

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/error.h"
+#include "obs/query.h"
 #include "obs/trace.h"
 #include "obs/trace_codec.h"
 
@@ -512,109 +513,30 @@ EventFormat sniff_event_format(const std::string& path) {
   in.read(magic, 4);
   if (in.gcount() == 4 && std::string_view(magic, 4) == kTraceMagic)
     return EventFormat::kBinary;
-  in.clear();
-  in.seekg(0);
-  std::string first_line;
-  std::getline(in, first_line);
-  if (!first_line.empty() && first_line.back() == '\r') first_line.pop_back();
-  if (first_line == "id,kind,key,value") return EventFormat::kCsv;
   return EventFormat::kJsonl;
 }
-
-namespace {
-
-std::vector<RecordedEvent> read_at_offset_btrc(const std::string& path,
-                                               std::uint64_t offset,
-                                               std::size_t max_events) {
-  TraceReader reader(path);
-  std::vector<RecordedEvent> out;
-  // Skip (integrity-checked, schema absorbed) until the target block.
-  while (reader.valid_offset() < offset) {
-    if (!reader.next_block(out, /*decode=*/false))
-      throw InvalidArgument(path + ": trace pointer offset " +
-                            std::to_string(offset) +
-                            " is past the end of the trace (last block "
-                            "ends at byte " +
-                            std::to_string(reader.valid_offset()) + ")");
-  }
-  if (reader.valid_offset() != offset)
-    throw InvalidArgument(path + ": trace pointer offset " +
-                          std::to_string(offset) +
-                          " is not a block boundary (nearest boundary is "
-                          "byte " +
-                          std::to_string(reader.valid_offset()) + ")");
-  while (out.size() < max_events && reader.next_block(out)) {
-  }
-  if (out.size() > max_events) out.resize(max_events);
-  return out;
-}
-
-std::vector<RecordedEvent> read_at_offset_jsonl(const std::string& path,
-                                                std::uint64_t offset,
-                                                std::size_t max_events) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  BURSTQ_REQUIRE(in.is_open(), "cannot open event file: " + path);
-  if (offset > 0) {
-    // A valid pointer lands just after a newline; anything else is a
-    // mid-line (or past-the-end) offset and would parse garbage.
-    in.seekg(static_cast<std::streamoff>(offset - 1));
-    char prev = '\0';
-    if (!in.read(&prev, 1))
-      throw InvalidArgument(path + ": trace pointer offset " +
-                            std::to_string(offset) +
-                            " is past the end of the trace");
-    if (prev != '\n')
-      throw InvalidArgument(path + ": trace pointer offset " +
-                            std::to_string(offset) +
-                            " is not the start of a JSONL line");
-  }
-  std::vector<RecordedEvent> out;
-  std::string line;
-  while (out.size() < max_events && std::getline(in, line)) {
-    std::string error;
-    auto event = parse_event_line(line, &error);
-    if (!event) {
-      if (error.empty()) continue;  // blank line
-      throw InvalidArgument(path + ": malformed event line after offset " +
-                            std::to_string(offset) + ": " + error);
-    }
-    out.push_back(std::move(*event));
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<RecordedEvent> read_events_at_offset(const std::string& path,
                                                  std::uint64_t offset,
                                                  std::size_t max_events) {
-  switch (sniff_event_format(path)) {
-    case EventFormat::kBinary:
-      return read_at_offset_btrc(path, offset, max_events);
-    case EventFormat::kCsv:
-      throw InvalidArgument(
-          path +
-          ": long-CSV event logs have no stable per-event offsets; trace "
-          "pointers resolve only into JSONL or BTRC traces");
-    case EventFormat::kJsonl:
-      break;
-  }
-  return read_at_offset_jsonl(path, offset, max_events);
+  std::vector<RecordedEvent> out;
+  scan_events(
+      path,
+      [&](const RecordedEvent& ev, std::uint64_t, std::uint64_t) {
+        if (out.size() == max_events) return false;
+        out.push_back(ev);
+        return out.size() < max_events;
+      },
+      offset);
+  return out;
 }
 
 std::vector<RecordedEvent> read_events_auto(const std::string& path,
                                             EventFormat* format) {
   const EventFormat f = sniff_event_format(path);
   if (format != nullptr) *format = f;
-  switch (f) {
-    case EventFormat::kBinary:
-      return read_events_btrc(path);
-    case EventFormat::kCsv:
-      return read_events_csv(path);
-    case EventFormat::kJsonl:
-      break;
-  }
-  return read_events_jsonl(path);
+  return f == EventFormat::kBinary ? read_events_btrc(path)
+                                   : read_events_jsonl(path);
 }
 
 }  // namespace burstq::obs

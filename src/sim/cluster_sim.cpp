@@ -658,16 +658,7 @@ std::size_t ClusterSimulator::encode_state(std::size_t t) {
 
   // Trace rewind point: the flight recorder's flushed byte position at
   // this exact instant (before any slot-t event).
-  const obs::EventLog::Checkpoint cp = obs::events().checkpoint();
-  w.boolean(cp.valid);
-  if (cp.valid) {
-    w.u8(static_cast<std::uint8_t>(cp.format));
-    w.str(cp.path);
-    w.varint(cp.bytes);
-    w.varint(cp.events);
-    w.varint(cp.blocks);
-    w.varint(cp.next_id);
-  }
+  encode_trace_checkpoint(w, obs::events().checkpoint());
   return history_at;
 }
 
@@ -834,18 +825,7 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
                    .substr(hist_begin, r.pos() - hist_begin));
   history_crc_ = obs::trace_detail::crc32(history_.data());
 
-  obs::EventLog::Checkpoint cp;
-  cp.valid = r.boolean();
-  if (cp.valid) {
-    const std::uint8_t fmt = r.u8();
-    if (fmt > 2) r.fail("trace checkpoint format out of range");
-    cp.format = static_cast<obs::EventFormat>(fmt);
-    cp.path = r.str();
-    cp.bytes = r.varint();
-    cp.events = r.varint();
-    cp.blocks = r.varint();
-    cp.next_id = r.varint();
-  }
+  const obs::EventLog::Checkpoint cp = decode_trace_checkpoint(r);
   r.expect_done();
 
   // WAL suffix: everything committed after the snapshot re-executes as
@@ -876,59 +856,23 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   return RestoreInfo{slot, replay_slots};
 }
 
-std::vector<std::vector<bool>> record_violation_trace(
-    const ProblemInstance& inst, const Placement& placement,
-    std::size_t slots, Rng rng, bool start_stationary) {
-  BURSTQ_REQUIRE(slots > 0, "needs at least one slot");
+namespace {
+
+/// The slot loop behind record_violation_trace and simulate_cvr: steps
+/// the ON/OFF ensemble, compares every occupied PM's load with its
+/// capacity, records the slot as `label`'s slot.obs, and hands each
+/// verdict to `on_verdict(pm, slot, violated)`.
+template <typename OnVerdict>
+void run_violation_slots(const ProblemInstance& inst,
+                         const Placement& placement, std::size_t slots,
+                         Rng rng, bool start_stationary,
+                         std::string_view label, OnVerdict&& on_verdict) {
+  BURSTQ_REQUIRE(slots > 0, std::string(label) + " needs at least one slot");
   BURSTQ_REQUIRE(placement.vms_assigned() == inst.n_vms(),
                  "placement must assign every VM");
 
   WorkloadEnsemble ensemble(inst, rng, start_stationary);
-  std::vector<std::vector<bool>> violated(
-      inst.n_pms(), std::vector<bool>(slots, false));
-
-  FlightSlotRecorder recorder("violation_trace", inst.n_pms(), slots,
-                              slots, 0.0);
-  std::vector<std::size_t> obs_active;
-  std::vector<std::size_t> obs_violated;
-
-  for (std::size_t t = 0; t < slots; ++t) {
-    BURSTQ_SPAN("sim.slot");
-    if (t > 0) ensemble.step();
-    if (recorder.enabled()) {
-      obs_active.clear();
-      obs_violated.clear();
-    }
-    for (std::size_t j = 0; j < inst.n_pms(); ++j) {
-      const PmId pm{j};
-      if (placement.count_on(pm) == 0) continue;
-      Resource loadj = 0.0;
-      for (std::size_t i : placement.vms_on(pm)) loadj += ensemble.demand(i);
-      violated[j][t] =
-          loadj > inst.pms[j].capacity * (1.0 + kCapacityEpsilon);
-      if (recorder.enabled()) {
-        obs_active.push_back(j);
-        if (violated[j][t]) obs_violated.push_back(j);
-      }
-    }
-    recorder.slot(t, obs_active, obs_violated);
-  }
-  return violated;
-}
-
-std::vector<double> simulate_cvr(const ProblemInstance& inst,
-                                 const Placement& placement,
-                                 std::size_t slots, Rng rng,
-                                 bool start_stationary) {
-  BURSTQ_REQUIRE(slots > 0, "simulate_cvr needs at least one slot");
-  BURSTQ_REQUIRE(placement.vms_assigned() == inst.n_vms(),
-                 "placement must assign every VM");
-
-  WorkloadEnsemble ensemble(inst, rng, start_stationary);
-  std::vector<std::size_t> violations(inst.n_pms(), 0);
-
-  FlightSlotRecorder recorder("simulate_cvr", inst.n_pms(), slots, slots,
-                              0.0);
+  FlightSlotRecorder recorder(label, inst.n_pms(), slots, slots, 0.0);
   std::vector<std::size_t> obs_active;
   std::vector<std::size_t> obs_violated;
 
@@ -946,7 +890,7 @@ std::vector<double> simulate_cvr(const ProblemInstance& inst,
       for (std::size_t i : placement.vms_on(pm)) loadj += ensemble.demand(i);
       const bool hit =
           loadj > inst.pms[j].capacity * (1.0 + kCapacityEpsilon);
-      if (hit) ++violations[j];
+      on_verdict(j, t, hit);
       if (recorder.enabled()) {
         obs_active.push_back(j);
         if (hit) obs_violated.push_back(j);
@@ -954,7 +898,33 @@ std::vector<double> simulate_cvr(const ProblemInstance& inst,
     }
     recorder.slot(t, obs_active, obs_violated);
   }
+}
 
+}  // namespace
+
+std::vector<std::vector<bool>> record_violation_trace(
+    const ProblemInstance& inst, const Placement& placement,
+    std::size_t slots, Rng rng, bool start_stationary) {
+  std::vector<std::vector<bool>> violated(
+      inst.n_pms(), std::vector<bool>(slots, false));
+  run_violation_slots(inst, placement, slots, rng, start_stationary,
+                      "violation_trace",
+                      [&](std::size_t j, std::size_t t, bool hit) {
+                        violated[j][t] = hit;
+                      });
+  return violated;
+}
+
+std::vector<double> simulate_cvr(const ProblemInstance& inst,
+                                 const Placement& placement,
+                                 std::size_t slots, Rng rng,
+                                 bool start_stationary) {
+  std::vector<std::size_t> violations(inst.n_pms(), 0);
+  run_violation_slots(inst, placement, slots, rng, start_stationary,
+                      "simulate_cvr",
+                      [&](std::size_t j, std::size_t, bool hit) {
+                        if (hit) ++violations[j];
+                      });
   std::vector<double> cvr(inst.n_pms(), 0.0);
   for (std::size_t j = 0; j < inst.n_pms(); ++j)
     cvr[j] = static_cast<double>(violations[j]) / static_cast<double>(slots);

@@ -167,16 +167,11 @@ std::string trace_stem(const std::string& path) {
 
 std::string explain_slo_breaches(const std::string& path,
                                  const SloExplainOptions& opt) {
-  const obs::EventFormat format = obs::sniff_event_format(path);
-  if (format == obs::EventFormat::kCsv)
-    throw InvalidArgument(
-        path + ": CSV event logs are lossy (string-typed) and cannot be "
-               "replayed; record JSONL or BTRC instead");
-
   // Pass 1: the existing flight replay re-derives the SLO audit (and
   // with it the breach episodes) per recorded segment.
+  obs::EventFormat format = obs::EventFormat::kJsonl;
   const std::vector<FlightReplaySegment> segments =
-      replay_flight_log(path, &opt.slo);
+      replay_flight_log(obs::read_events_auto(path, &format), &opt.slo);
 
   struct SpanAgg {
     std::uint64_t calls{0};
@@ -347,15 +342,7 @@ std::string explain_slo_breaches(const std::string& path,
 
 std::vector<FlightReplaySegment> replay_flight_log(
     const std::string& path, const obs::SloOptions* slo) {
-  obs::EventFormat format = obs::EventFormat::kJsonl;
-  auto events = obs::read_events_auto(path, &format);
-  // The long-CSV sink is string-typed end to end, so replaying it would
-  // silently re-derive CVR from parsed text.  Refuse rather than guess.
-  if (format == obs::EventFormat::kCsv)
-    throw InvalidArgument(
-        path + ": CSV event logs are lossy (string-typed) and cannot be "
-               "replayed; record JSONL or BTRC instead");
-  return replay_flight_log(events, slo);
+  return replay_flight_log(obs::read_events_auto(path), slo);
 }
 
 }  // namespace burstq

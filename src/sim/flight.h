@@ -9,7 +9,7 @@
 // migration slots.
 //
 // Read side: replay_flight_log() re-drives a CvrTracker from a recorded
-// JSONL stream — record/reset calls happen in exactly the order the live
+// JSONL or BTRC stream — record/reset calls happen in exactly the order the live
 // run performed them, so cumulative AND windowed CVR (including the
 // reset_window cooldown path) are reproduced bit-for-bit.  Comparing the
 // replayed totals against the live SimReport cross-checks the whole
@@ -133,8 +133,9 @@ std::vector<FlightReplaySegment> replay_flight_log(
 
 /// Convenience: read_events_auto + replay — consumes JSONL or BTRC
 /// directly (both decode to the same event stream, so the CVR and SLO
-/// verdicts are bit-identical).  Throws InvalidArgument for CSV logs,
-/// which are string-typed and not replayable.
+/// verdicts are bit-identical).  Throws InvalidArgument on unreadable
+/// or corrupt traces; a file that is not BTRC is read as JSONL, so any
+/// other text fails at its first malformed line.
 std::vector<FlightReplaySegment> replay_flight_log(
     const std::string& path, const obs::SloOptions* slo = nullptr);
 
@@ -162,8 +163,8 @@ struct SloExplainOptions {
 /// offset pointer to its first slot, the dominant event kinds and spans
 /// inside the window, and the top violating PMs.  Deterministic: the
 /// same trace renders byte-identically, and with the virtual span clock
-/// two same-seed runs do too.  Throws InvalidArgument on CSV logs and
-/// on unreadable/corrupt traces.
+/// two same-seed runs do too.  Throws InvalidArgument on unreadable or
+/// corrupt traces, malformed JSONL lines included.
 std::string explain_slo_breaches(const std::string& path,
                                  const SloExplainOptions& opt = {});
 

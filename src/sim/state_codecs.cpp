@@ -93,4 +93,45 @@ VmSpec decode_vm_spec(durable::StateReader& r) {
   return vm;
 }
 
+namespace {
+
+// On-disk codes, independent of EventFormat's order.
+constexpr std::uint8_t kTraceCodeJsonl = 0;
+constexpr std::uint8_t kTraceCodeBtrc = 2;
+
+}  // namespace
+
+void encode_trace_checkpoint(durable::StateWriter& w,
+                             const obs::EventLog::Checkpoint& cp) {
+  w.boolean(cp.valid);
+  if (!cp.valid) return;
+  w.u8(cp.format == obs::EventFormat::kBinary ? kTraceCodeBtrc
+                                              : kTraceCodeJsonl);
+  w.str(cp.path);
+  w.varint(cp.bytes);
+  w.varint(cp.events);
+  w.varint(cp.blocks);
+  w.varint(0);
+}
+
+obs::EventLog::Checkpoint decode_trace_checkpoint(durable::StateReader& r) {
+  obs::EventLog::Checkpoint cp;
+  cp.valid = r.boolean();
+  if (!cp.valid) return cp;
+  const std::uint8_t code = r.u8();
+  if (code == kTraceCodeJsonl) {
+    cp.format = obs::EventFormat::kJsonl;
+  } else if (code == kTraceCodeBtrc) {
+    cp.format = obs::EventFormat::kBinary;
+  } else {
+    r.fail("trace checkpoint format code is neither JSONL (0) nor BTRC (2)");
+  }
+  cp.path = r.str();
+  cp.bytes = r.varint();
+  cp.events = r.varint();
+  cp.blocks = r.varint();
+  if (r.varint() != 0) r.fail("trace checkpoint: nonzero CSV row id");
+  return cp;
+}
+
 }  // namespace burstq

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "check/fuzz.h"
@@ -34,6 +35,28 @@ TEST(FuzzGenerator, DistinctIndicesGiveDistinctSeeds) {
   EXPECT_EQ(seeds.size(), 1000u);
   // And different master seeds diverge too.
   EXPECT_NE(derive_case_seed(7, 0), derive_case_seed(8, 0));
+}
+
+TEST(FuzzGenerator, ScriptedFaultsStayInsideTheHorizon) {
+  // fault_slots can be 30 while crash + 5 + 19 reaches 34; an
+  // out-of-horizon recover used to abort whole sweeps (e.g. seed 3,
+  // 300 recovery cases).  Every case's plan must build and validate, as
+  // the recovery and durability oracles build it.
+  std::size_t cases = 0;
+  for (const std::uint64_t master : {1u, 3u, 5u}) {
+    for (std::uint64_t i = 0; i < 4000; ++i, ++cases) {
+      const FuzzCase c = generate_case(derive_case_seed(master, i), i);
+      ASSERT_LT(c.fault_crash_slot, c.fault_recover_slot) << c.seed;
+      ASSERT_LT(c.fault_recover_slot, c.fault_slots) << c.seed;
+      const std::size_t n_pms = std::max<std::size_t>(c.n_pms, 2);
+      const fault::FaultPlan plan = case_fault_plan(
+          c, n_pms,
+          {{c.fault_solver_slot, fault::FaultKind::kSolverOutage,
+            fault::kNoPm, c.fault_solver_len}});
+      EXPECT_NO_THROW(plan.validate(n_pms, c.fault_slots)) << c.seed;
+    }
+  }
+  EXPECT_GE(cases, 10000u);
 }
 
 TEST(FuzzGenerator, SamplesTheDomainBoundaries) {

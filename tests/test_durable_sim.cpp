@@ -23,6 +23,7 @@
 #include "placement/baselines.h"
 #include "placement/spec.h"
 #include "sim/cluster_sim.h"
+#include "sim/state_codecs.h"
 
 namespace burstq {
 namespace {
@@ -491,6 +492,53 @@ TEST(DurableSimConfig, KillsRequireDurability) {
   d.dir = "/tmp/burstq-wherever";
   cfg.durability = d;
   EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(TraceCheckpointCodec, FormatCodesArePinnedOnDisk) {
+  // The format byte is part of every simulator snapshot: JSONL is 0 and
+  // BTRC is 2; 1 belonged to the retired long-CSV sink.
+  const auto encode = [](obs::EventFormat format) {
+    obs::EventLog::Checkpoint cp;
+    cp.valid = true;
+    cp.format = format;
+    cp.path = "run.trace";
+    cp.bytes = 300;
+    cp.events = 7;
+    cp.blocks = 2;
+    durable::StateWriter w;
+    encode_trace_checkpoint(w, cp);
+    return w.take();
+  };
+  const std::string jsonl = encode(obs::EventFormat::kJsonl);
+  const std::string btrc = encode(obs::EventFormat::kBinary);
+  ASSERT_GE(jsonl.size(), 2u);
+  EXPECT_EQ(jsonl[1], '\0');  // after the valid flag
+  EXPECT_EQ(btrc[1], '\2');
+  EXPECT_EQ(jsonl.back(), '\0');  // where the CSV row id was: always 0
+
+  for (const std::string& bytes : {jsonl, btrc}) {
+    durable::StateReader r(bytes, "checkpoint");
+    const obs::EventLog::Checkpoint cp = decode_trace_checkpoint(r);
+    r.expect_done();
+    EXPECT_TRUE(cp.valid);
+    EXPECT_EQ(cp.path, "run.trace");
+    EXPECT_EQ(cp.bytes, 300u);
+    EXPECT_EQ(cp.events, 7u);
+    EXPECT_EQ(cp.blocks, 2u);
+  }
+  durable::StateReader rj(jsonl, "checkpoint");
+  EXPECT_EQ(decode_trace_checkpoint(rj).format, obs::EventFormat::kJsonl);
+  durable::StateReader rb(btrc, "checkpoint");
+  EXPECT_EQ(decode_trace_checkpoint(rb).format, obs::EventFormat::kBinary);
+
+  std::string csv = jsonl;
+  csv[1] = '\1';
+  durable::StateReader rc(csv, "checkpoint");
+  EXPECT_THROW((void)decode_trace_checkpoint(rc), durable::CorruptState);
+  std::string row_id = jsonl;
+  row_id.back() = '\1';
+  durable::StateReader rr(row_id, "checkpoint");
+  EXPECT_THROW((void)decode_trace_checkpoint(rr), durable::CorruptState);
 }
 
 }  // namespace

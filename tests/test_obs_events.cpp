@@ -3,9 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -17,13 +15,6 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 TEST(EventLevel, Parsing) {
@@ -108,19 +99,6 @@ TEST(EventLog, NonFiniteDoublesBecomeNull) {
   EXPECT_EQ(v->tag, EventValue::Tag::kNull);
 }
 
-TEST(EventLog, CsvLongFormat) {
-  const std::string path = temp_path("events.csv");
-  EventLog log;
-  log.open(path, EventFormat::kCsv, EventLevel::kDetail);
-  log.emit(EventLevel::kDecisions, "row", {{"a", 1}, {"b", "x,y"}});
-  log.close();
-  const std::string text = slurp(path);
-  EXPECT_NE(text.find("id,kind,key,value"), std::string::npos);
-  EXPECT_NE(text.find("row"), std::string::npos);
-  // The comma-bearing value must be quoted to stay one CSV field.
-  EXPECT_NE(text.find("\"x,y\""), std::string::npos);
-}
-
 TEST(EventLog, RunLabelRoundTrip) {
   EventLog log;
   EXPECT_EQ(log.run_label(), "");
@@ -159,7 +137,7 @@ TEST(ReadEventsJsonl, MissingFileThrows) {
 
 // Seed-pure fuzz-style round trip: adversarial strings (unicode bytes,
 // embedded quotes/backslashes/newlines/control bytes, empty values) must
-// survive writer escaping and reader parsing in both text sinks.
+// survive writer escaping and reader parsing.
 namespace {
 
 std::string fuzz_string(Rng& rng) {
@@ -201,70 +179,6 @@ TEST(EventLogFuzz, JsonlEscapingRoundTripsAdversarialStrings) {
     ASSERT_EQ(events[i].fields[0].second.tag, EventValue::Tag::kString);
     EXPECT_EQ(events[i].fields[0].second.str, emitted[i].second) << i;
   }
-}
-
-TEST(EventLogFuzz, CsvEscapingRoundTripsAdversarialStrings) {
-  const std::string path = temp_path("fuzz.csv");
-  Rng rng(424242);
-  std::vector<std::pair<std::string, std::string>> emitted;
-  EventLog log;
-  log.open(path, EventFormat::kCsv, EventLevel::kDetail);
-  for (int i = 0; i < 300; ++i) {
-    std::string key = "k";  // (not "k" + …: GCC 12 -Wrestrict misfires)
-    key += fuzz_string(rng);
-    const std::string value = fuzz_string(rng);
-    log.emit(EventLevel::kDetail, "fuzz", {{key, std::string_view(value)}});
-    emitted.emplace_back(key, value);
-  }
-  log.close();
-
-  const auto events = read_events_csv(path);
-  ASSERT_EQ(events.size(), emitted.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].kind, "fuzz");
-    ASSERT_EQ(events[i].fields.size(), 1u) << i;
-    EXPECT_EQ(events[i].fields[0].first, emitted[i].first) << i;
-    EXPECT_EQ(events[i].fields[0].second.str, emitted[i].second) << i;
-  }
-}
-
-TEST(ReadEventsCsv, RoundTripsQuotedFieldsAndMultipleEvents) {
-  const std::string path = temp_path("long.csv");
-  EventLog log;
-  log.open(path, EventFormat::kCsv, EventLevel::kDetail);
-  log.emit(EventLevel::kDecisions, "alpha",
-           {{"plain", "x"}, {"tricky", "a,\"b\"\nc"}, {"empty", ""}});
-  log.emit(EventLevel::kDecisions, "beta", {{"n", 42}});
-  log.close();
-
-  const auto events = read_events_csv(path);
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, "alpha");
-  ASSERT_EQ(events[0].fields.size(), 3u);
-  EXPECT_EQ(events[0].str("plain"), "x");
-  EXPECT_EQ(events[0].str("tricky"), "a,\"b\"\nc");
-  EXPECT_EQ(events[0].str("empty"), "");
-  EXPECT_EQ(events[1].kind, "beta");
-  // CSV is string-typed: numbers come back as their text form.
-  EXPECT_EQ(events[1].str("n"), "42");
-}
-
-TEST(ReadEventsCsv, RejectsMalformedFiles) {
-  const std::string bad_header = temp_path("bad_header.csv");
-  {
-    std::ofstream out(bad_header);
-    out << "wrong,header\n";
-  }
-  EXPECT_THROW(read_events_csv(bad_header), InvalidArgument);
-
-  const std::string no_kind_row = temp_path("no_kind_row.csv");
-  {
-    std::ofstream out(no_kind_row);
-    out << "id,kind,key,value\n0,k,key,value\n";
-  }
-  EXPECT_THROW(read_events_csv(no_kind_row), InvalidArgument);
-
-  EXPECT_THROW(read_events_csv(temp_path("missing.csv")), InvalidArgument);
 }
 
 }  // namespace

@@ -402,9 +402,142 @@ TEST(SloExplainEndToEnd, PointerResolvesIntoBreachWindow) {
 }
 
 TEST(SloExplainEndToEnd, RejectsCsvTraces) {
+  // A long-CSV log reads as JSONL and fails at its first line.
   const std::string path = temp_path("expl_reject.csv");
   std::ofstream(path) << "id,kind,key,value\n0,slot.obs,,\n";
-  EXPECT_THROW((void)explain_slo_breaches(path), InvalidArgument);
+  try {
+    (void)explain_slo_breaches(path);
+    FAIL() << "a CSV log must be rejected";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("expl_reject.csv:1:"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// ---- scan_events: one malformed-line rule, checked start offsets ------
+
+/// Runs `read` and returns the InvalidArgument message it throws, or
+/// "no throw".
+template <typename Fn>
+std::string thrown_message(Fn&& read) {
+  try {
+    read();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "no throw";
+}
+
+TEST(ScanEvents, MalformedLineFailsEveryReader) {
+  const std::string path = temp_path("bad_line2.jsonl");
+  std::ofstream(path) << "{\"kind\":\"a\",\"x\":1}\n"
+                      << "{\"kind\":\"b\" \"x\":2}\n"
+                      << "{\"kind\":\"c\",\"x\":3}\n";
+  const std::string where = "bad_line2.jsonl:2:";
+  const auto count = [](const RecordedEvent&, std::uint64_t,
+                        std::uint64_t) { return true; };
+  EXPECT_NE(thrown_message([&] { scan_events(path, count); }).find(where),
+            std::string::npos);
+  EXPECT_NE(thrown_message([&] { (void)profile_trace(path); }).find(where),
+            std::string::npos);
+  const Query query = Query::parse("kind!=zzz");
+  std::uint64_t matches = 0;
+  EXPECT_NE(thrown_message([&] {
+              scan_events(path, [&](const RecordedEvent& ev, std::uint64_t,
+                                    std::uint64_t) {
+                if (query.matches(ev)) ++matches;
+                return true;
+              });
+            }).find(where),
+            std::string::npos);
+  EXPECT_NE(
+      thrown_message([&] { (void)explain_slo_breaches(path); }).find(where),
+      std::string::npos);
+  EXPECT_NE(thrown_message([&] { (void)read_events_jsonl(path); }).find(where),
+            std::string::npos);
+  EXPECT_NE(thrown_message([&] { (void)read_events_at_offset(path, 0, 9); })
+                .find(where),
+            std::string::npos);
+  // From a later line start the line number is still the file's own.
+  EXPECT_NE(thrown_message([&] {
+              (void)read_events_at_offset(path, 19, 9);
+            }).find(where),
+            std::string::npos);
+}
+
+TEST(ScanEvents, BlankLinesAreSkipped) {
+  const std::string path = temp_path("blank_lines.jsonl");
+  std::ofstream(path) << "{\"kind\":\"a\"}\n\n  \n{\"kind\":\"b\"}\n";
+  std::vector<std::string> kinds;
+  std::vector<std::uint64_t> offsets;
+  EXPECT_EQ(scan_events(path,
+                        [&](const RecordedEvent& ev, std::uint64_t offset,
+                            std::uint64_t) {
+                          kinds.push_back(ev.kind);
+                          offsets.push_back(offset);
+                          return true;
+                        }),
+            2u);
+  EXPECT_EQ(kinds, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(offsets, (std::vector<std::uint64_t>{0, 17}));
+}
+
+TEST(ScanEvents, JsonlStartOffsetMustBeALineStart) {
+  const std::string path = temp_path("offsets.jsonl");
+  std::ofstream(path) << "{\"kind\":\"a\"}\n{\"kind\":\"b\"}\n";
+  std::vector<std::string> kinds;
+  const auto collect = [&](const RecordedEvent& ev, std::uint64_t offset,
+                           std::uint64_t index) {
+    EXPECT_EQ(offset, 13u);
+    EXPECT_EQ(index, 0u);  // indices count from the start offset
+    kinds.push_back(ev.kind);
+    return true;
+  };
+  EXPECT_EQ(scan_events(path, collect, 13), 1u);
+  EXPECT_EQ(kinds, (std::vector<std::string>{"b"}));
+  EXPECT_EQ(scan_events(path, collect, 26), 0u);  // the end is a line start
+  EXPECT_NE(thrown_message([&] { scan_events(path, collect, 5); })
+                .find("is not the start of a JSONL line"),
+            std::string::npos);
+  EXPECT_NE(thrown_message([&] { scan_events(path, collect, 27); })
+                .find("is past the end of the trace"),
+            std::string::npos);
+}
+
+TEST(ScanEvents, BtrcStartOffsetMustBeABlockBoundary) {
+  const std::string path = temp_path("offsets.btrc");
+  std::uint64_t boundary = 0;
+  std::uint64_t end = 0;
+  {
+    TraceWriter w(path);
+    w.append("a", {{"x", 1}});
+    w.flush();
+    boundary = w.bytes_written();
+    w.append("b", {{"x", 2}});
+    w.close();
+    end = w.bytes_written();
+  }
+  std::vector<std::string> kinds;
+  const auto collect = [&](const RecordedEvent& ev, std::uint64_t offset,
+                           std::uint64_t) {
+    EXPECT_GE(offset, boundary);
+    kinds.push_back(ev.kind);
+    return true;
+  };
+  EXPECT_EQ(scan_events(path, collect, boundary), 1u);
+  EXPECT_EQ(kinds, (std::vector<std::string>{"b"}));
+  EXPECT_EQ(scan_events(path, collect, end), 0u);
+  EXPECT_NE(thrown_message([&] { scan_events(path, collect, boundary - 1); })
+                .find("is not a block boundary"),
+            std::string::npos);
+  // The file header is not a block: offset 0 is no pointer either.
+  EXPECT_NE(thrown_message([&] { scan_events(path, collect, 0); })
+                .find("is not a block boundary"),
+            std::string::npos);
+  EXPECT_NE(thrown_message([&] { scan_events(path, collect, end + 1); })
+                .find("is past the end of the trace"),
+            std::string::npos);
 }
 
 #endif  // BURSTQ_NO_OBS

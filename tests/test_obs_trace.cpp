@@ -1,7 +1,8 @@
 // BTRC trace format tests: codec primitives, columnar write -> read
 // round trips, decode parity with the JSONL sink (the bit-identity
 // contract replay relies on), loud failure on truncation/corruption,
-// compression, and the recorder self-metrics.
+// compression, the recorder self-metrics, and the long-CSV export
+// (`trace tocsv`) against the bytes the retired CSV sink wrote.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +13,16 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "fault/plan.h"
 #include "obs/event_log.h"
 #include "obs/jsonl.h"
+#include "obs/query.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "obs/trace_codec.h"
 #include "placement/baselines.h"
 #include "placement/queuing_ffd.h"
+#include "queuing/mapcal.h"
 #include "sim/cluster_sim.h"
 #include "sim/flight.h"
 
@@ -512,9 +516,18 @@ TEST(FormatDispatch, SniffsAllThreeFormats) {
   spit(jsonl, "{\"kind\":\"k\",\"a\":1}\n");
   EXPECT_EQ(sniff_event_format(jsonl), EventFormat::kJsonl);
 
+  // A long-CSV log from the retired CSV sink is not a third format: it
+  // sniffs as JSONL and fails loudly at its first line.
   const std::string csv = temp_path("sniff.csv");
   spit(csv, "id,kind,key,value\n0,k,,\n0,k,a,1\n");
-  EXPECT_EQ(sniff_event_format(csv), EventFormat::kCsv);
+  EXPECT_EQ(sniff_event_format(csv), EventFormat::kJsonl);
+  try {
+    read_events_auto(csv);
+    FAIL() << "a long-CSV log must not read as events";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("sniff.csv:1:"), std::string::npos)
+        << e.what();
+  }
 
   EventFormat seen{};
   const auto via_auto = read_events_auto(btrc, &seen);
@@ -525,12 +538,22 @@ TEST(FormatDispatch, SniffsAllThreeFormats) {
 
 TEST(FormatDispatch, PathExtensionMapping) {
   EXPECT_EQ(event_format_from_path("x.btrc"), EventFormat::kBinary);
-  EXPECT_EQ(event_format_from_path("x.csv"), EventFormat::kCsv);
   EXPECT_EQ(event_format_from_path("x.jsonl"), EventFormat::kJsonl);
   EXPECT_EQ(event_format_from_path("x.log"), EventFormat::kJsonl);
   EXPECT_EQ(format_name(EventFormat::kBinary), "btrc");
   EXPECT_EQ(format_name(EventFormat::kJsonl), "jsonl");
-  EXPECT_EQ(format_name(EventFormat::kCsv), "csv");
+}
+
+TEST(FormatDispatch, CsvSinkPathIsRejected) {
+  // Without this check a .csv path would silently get JSONL bytes.
+  try {
+    (void)event_format_from_path("x.csv");
+    FAIL() << "a .csv sink path must be rejected";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("burstq_cli trace tocsv"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- EventLog integration --------------------------------------------
@@ -654,19 +677,64 @@ TEST(TraceReplay, BtrcReplayBitIdenticalToJsonl) {
 }
 
 TEST(TraceReplay, CsvLogsAreRejectedWithClearError) {
-  Rng rng(11);
-  const OnOffParams p{0.01, 0.09};
-  const auto inst = random_instance(10, 10, p, InstanceRanges{}, rng);
-  const auto placed = queuing_ffd(inst);
-  SimConfig cfg;
-  cfg.slots = 50;
+  // The head of a long-CSV log as the retired CSV sink wrote it.
   const std::string csv_path = temp_path("replay_reject.csv");
-  record_run(csv_path, inst, placed.result.placement, cfg, 1);
+  spit(csv_path,
+       "id,kind,key,value\n0,sim.config,,\n0,sim.config,n_pms,10\n");
   try {
     replay_flight_log(csv_path, nullptr);
     FAIL() << "CSV replay must be rejected";
   } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("lossy"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("replay_reject.csv:1:"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// One small deterministic detail-level recording in `format`: a faulted
+/// simulator run (migrations, evacuations, MapCal solves) followed by a
+/// record_violation_trace run, under a label that needs CSV quoting.
+void record_tocsv_golden(const std::string& path, EventFormat format) {
+  Rng rng(2026);
+  const auto inst =
+      random_instance(16, 16, OnOffParams{0.05, 0.15}, InstanceRanges{}, rng);
+  const PlacementResult placed = ffd_by_normal(inst);
+  ASSERT_TRUE(placed.complete());
+  SimConfig cfg;
+  cfg.slots = 80;
+  cfg.faults = fault::parse_fault_plan("crash@10:pm=1;recover@40:pm=1");
+  mapcal_table_cache_clear();  // a warm cache would skip mapcal events
+  events().open(path, format, EventLevel::kDetail);
+  events().set_run_label("golden,\"tocsv\"");
+  ClusterSimulator sim(inst, placed.placement, cfg, Rng(5));
+  (void)sim.run();
+  (void)record_violation_trace(inst, placed.placement, 20, Rng(3), true);
+  events().close();
+  events().set_run_label("");
+}
+
+std::string export_csv(const std::string& path) {
+  std::ostringstream out;
+  out << kEventCsvHeader;
+  scan_events(path, [&out](const RecordedEvent& ev, std::uint64_t,
+                           std::uint64_t index) {
+    print_event_csv(out, ev, index);
+    return true;
+  });
+  return out.str();
+}
+
+TEST(TraceToCsv, JsonlAndBtrcExportMatchTheRetiredCsvSink) {
+  // CRC-32 and size of the long-CSV file the CSV sink wrote for this
+  // recording before it was removed: the export must reproduce it.
+  constexpr std::uint32_t kSinkCrc = 0x44dc91c3;
+  constexpr std::size_t kSinkBytes = 8874;
+  for (const char* name : {"tocsv_golden.jsonl", "tocsv_golden.btrc"}) {
+    const std::string path = temp_path(name);
+    record_tocsv_golden(path, event_format_from_path(path));
+    const std::string csv = export_csv(path);
+    EXPECT_EQ(csv.size(), kSinkBytes) << name;
+    EXPECT_EQ(crc32(csv), kSinkCrc) << name;
   }
 }
 
