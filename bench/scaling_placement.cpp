@@ -40,6 +40,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -112,6 +113,10 @@ struct Row {
   std::size_t pms_used{0};
   bool identical{true};  ///< vs incremental; for S>1 sharded rows, the
                          ///< thread-determinism verdict instead
+  /// Incremental rows only: the Algorithm-2 visit order's time, and the
+  /// engine's deterministic work counts (gated exactly in CI).
+  std::optional<double> order_seconds;
+  IncrementalStats stats;
 };
 
 /// Per-size sharded-engine record for the JSON summary.
@@ -186,7 +191,10 @@ int main(int argc, char** argv) {
     const std::size_t m = n >= 1'000'000 ? n / 10 : n / 8;
     Rng rng(4242 + n);
     const auto inst = random_instance(n, m, params, InstanceRanges{}, rng);
-    const auto order = queuing_ffd_order(inst.vms, naive_opt.cluster_buckets);
+    std::vector<std::size_t> order;
+    const double order_s = time_s([&] {
+      order = queuing_ffd_order(inst.vms, naive_opt.cluster_buckets);
+    });
     const MapCalTable table(naive_opt.max_vms_per_pm, params, naive_opt.rho,
                             naive_opt.method);
     const auto fits = [&](const Placement& p, VmId vm, PmId pm) {
@@ -203,7 +211,8 @@ int main(int argc, char** argv) {
     const double incr_s = time_s([&] {
       incr = first_fit_place_reservation(inst, order, table, &stats);
     });
-    rows.push_back({n, m, "incremental", incr_s, incr.pms_used(), true});
+    rows.push_back(
+        {n, m, "incremental", incr_s, incr.pms_used(), true, order_s, stats});
 
     // Sharded engine at the requested shard count, then the thread-
     // determinism pin: 1 and 3 workers must reproduce it bit-for-bit.
@@ -234,7 +243,8 @@ int main(int argc, char** argv) {
                          "n = " + std::to_string(n));
     rows.push_back({n, m,
                     "sharded[S=" + std::to_string(srun.stats.shards) + "]",
-                    srun.seconds, shard.pms_used(), shard_vs_incr});
+                    srun.seconds, shard.pms_used(), shard_vs_incr,
+                    std::nullopt, {}});
     sharded_runs.push_back(srun);
 
     if (n <= naive_cap) {
@@ -242,7 +252,8 @@ int main(int argc, char** argv) {
       const double naive_s =
           time_s([&] { naive = first_fit_place(inst, order, fits); });
       const bool naive_same = same_placement(inst, naive, incr);
-      rows.push_back({n, m, "naive", naive_s, naive.pms_used(), naive_same});
+      rows.push_back({n, m, "naive", naive_s, naive.pms_used(), naive_same,
+                      std::nullopt, {}});
       if (!naive_same)
         failures.push_back("incremental placement diverged from the naive "
                            "driver at n = " + std::to_string(n));
@@ -253,7 +264,8 @@ int main(int argc, char** argv) {
       const double walk_s =
           time_s([&] { walk = first_fit_walk(inst, order, table); });
       const bool walk_same = same_placement(inst, walk, incr);
-      rows.push_back({n, m, "naive-walk", walk_s, walk.pms_used(), walk_same});
+      rows.push_back({n, m, "naive-walk", walk_s, walk.pms_used(), walk_same,
+                      std::nullopt, {}});
       if (!walk_same)
         failures.push_back("incremental placement diverged from the walk "
                            "baseline at n = " + std::to_string(n));
@@ -266,6 +278,7 @@ int main(int argc, char** argv) {
                    it->identical ? "yes" : "NO"});
     out.add_row({"(tree descents)", std::to_string(stats.tree_descents),
                  "exact checks", std::to_string(stats.exact_checks)});
+    out.add_row({"(visit order)", ConsoleTable::num(order_s, 4), "", ""});
     out.print(std::cout);
     std::cout << "sharded: " << srun.stats.shards << " shards, "
               << srun.stats.threads << " threads, " << srun.stats.spills
@@ -358,7 +371,12 @@ int main(int argc, char** argv) {
            << ", \"engine\": \"" << r.engine
            << "\", \"seconds\": " << r.seconds
            << ", \"pms_used\": " << r.pms_used << ", \"identical\": "
-           << (r.identical ? "true" : "false") << "}"
+           << (r.identical ? "true" : "false");
+      if (r.order_seconds)
+        json << ", \"order_seconds\": " << *r.order_seconds
+             << ", \"tree_descents\": " << r.stats.tree_descents
+             << ", \"exact_checks\": " << r.stats.exact_checks;
+      json << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     json << "  ],\n  \"sharded\": [\n";

@@ -6,6 +6,13 @@
 // similar-Re VMs shrinks the uniform block size max{Re} each PM reserves.
 //
 // We implement the O(n) method as equal-width bucketing of the Re range.
+//
+// All three visit orders below share one sort kernel: each VM becomes a
+// packed (key bits, index) pair, where the key bits of a non-negative
+// double compare like the double itself; the VMs are counting-
+// partitioned by cluster and each cluster's pairs are radix-sorted.  That
+// needs validated specs (ProblemInstance::validate: no NaN, no negative
+// Rb or Re); the orders do not walk the specs to check.
 
 #pragma once
 
@@ -22,15 +29,17 @@ namespace burstq {
 std::vector<std::size_t> cluster_by_re(const std::vector<VmSpec>& vms,
                                        std::size_t bucket_count);
 
-/// The complete Algorithm-2 visit order: cluster ids from cluster_by_re,
-/// clusters ordered by descending Re (equal-width buckets make this the
-/// descending bucket index), VMs within a cluster by descending Rb
-/// (ties broken by VM index for determinism).  Returns VM indices.
+/// The complete Algorithm-2 visit order: cluster ids as cluster_by_re
+/// assigns them, clusters ordered by descending Re (equal-width buckets
+/// make this the descending bucket index), VMs within a cluster by
+/// descending Rb (ties broken by VM index for determinism; -0.0 ties
+/// +0.0).  Returns VM indices.  Requires validated specs.
 std::vector<std::size_t> queuing_ffd_order(const std::vector<VmSpec>& vms,
                                            std::size_t bucket_count);
 
 /// Baseline orders: VM indices sorted by a single key, descending, index
-/// tie-break.  Used by the FFD-by-Rp / FFD-by-Rb baselines.
+/// tie-break.  Used by the FFD-by-Rp / FFD-by-Rb baselines.  Require
+/// validated specs.
 std::vector<std::size_t> order_by_peak_desc(const std::vector<VmSpec>& vms);
 std::vector<std::size_t> order_by_normal_desc(const std::vector<VmSpec>& vms);
 

@@ -8,6 +8,11 @@ namespace burstq::detail {
 void validate_driver_inputs(const ProblemInstance& inst,
                             std::span<const std::size_t> order) {
   inst.validate();
+  require_full_order(inst, order);
+}
+
+void require_full_order(const ProblemInstance& inst,
+                        std::span<const std::size_t> order) {
   BURSTQ_REQUIRE(order.size() == inst.n_vms(),
                  "visit order must cover every VM exactly once");
 }

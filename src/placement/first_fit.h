@@ -58,8 +58,12 @@ namespace detail {
 
 /// Shared prologue/epilogue of the scan drivers (non-template so the obs
 /// counter registrations are not duplicated per instantiation).
+/// validate_driver_inputs validates `inst` (O(n)) and then runs
+/// require_full_order, the O(1) check that `order` has one entry per VM.
 void validate_driver_inputs(const ProblemInstance& inst,
                             std::span<const std::size_t> order);
+void require_full_order(const ProblemInstance& inst,
+                        std::span<const std::size_t> order);
 void record_driver_counts(const PlacementResult& result,
                           std::size_t fit_checks);
 

@@ -13,8 +13,15 @@
 // and confirms with the exact O(1) check; a false positive (possible only
 // when Re_i > re_max_j or at a float boundary inside the margin) resumes
 // the descent after that PM.  Because the filter is conservative and the
-// confirmation is the exact fits_with_reservation, the resulting
-// placement is bit-identical to the naive linear-scan driver.
+// confirmation is eq17_admits (placement.h), the one Eq. (17) expression
+// fits_with_reservation also evaluates, the resulting placement is
+// bit-identical to the naive linear-scan driver.
+//
+// During the descents the per-PM aggregates (k, rb_sum, re_max) live in
+// flat arrays, and each visit position records its host PM as a 32-bit
+// index.  The result Placement is built once at the end: each PM's list
+// in visit order with exact capacity, and the aggregate arrays moved in,
+// so they carry the same bits an assign-per-VM Placement accumulates.
 //
 // Observability: `placement.fit_checks` counts exact confirmations (the
 // Eq. 17 evaluations a replay must reproduce), `placement.tree_descents`
@@ -47,12 +54,6 @@ double conservative_admit_key(double capacity, std::size_t vm_count,
                               double rb_sum, double re_max,
                               const MapCalTable& table);
 
-/// Convenience overload reading the aggregates off an instance-bound
-/// placement.
-double conservative_admit_key(const ProblemInstance& inst,
-                              const Placement& placement, PmId pm,
-                              const MapCalTable& table);
-
 /// Per-run statistics of the incremental engine (also exported as obs
 /// counters; the struct serves callers compiled with BURSTQ_NO_OBS).
 struct IncrementalStats {
@@ -62,10 +63,22 @@ struct IncrementalStats {
 
 /// First-fit under Eq. (17), bit-identical to
 /// first_fit_place(inst, order, fits_with_reservation-lambda) but with an
-/// O(log m) tree descent per placement instead of an O(m) scan.
+/// O(log m) tree descent per placement instead of an O(m) scan.  Throws
+/// InvalidArgument on an invalid instance or order, and when the fleet
+/// has 2^32 PMs or more.
 PlacementResult first_fit_place_reservation(const ProblemInstance& inst,
                                             std::span<const std::size_t> order,
                                             const MapCalTable& table,
                                             IncrementalStats* stats = nullptr);
+
+namespace detail {
+
+/// first_fit_place_reservation without the O(n) instance validation, for
+/// callers that validated `inst` themselves (queuing_ffd).
+PlacementResult first_fit_place_reservation_validated(
+    const ProblemInstance& inst, std::span<const std::size_t> order,
+    const MapCalTable& table, IncrementalStats* stats = nullptr);
+
+}  // namespace detail
 
 }  // namespace burstq

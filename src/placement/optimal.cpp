@@ -61,13 +61,9 @@ class Search {
 
  private:
   bool fits(const Bin& bin, const VmSpec& v) const {
-    const std::size_t k_new = bin.count + 1;
-    if (k_new > options_.max_vms_per_pm) return false;
-    const Resource block = std::max(bin.max_re, v.re);
-    const Resource footprint =
-        block * static_cast<double>(table_->blocks(k_new)) + bin.rb_sum +
-        v.rb;
-    return footprint <= capacity_ * (1.0 + kCapacityEpsilon);
+    return bin.count < options_.max_vms_per_pm &&
+           eq17_admits(capacity_, bin.count, bin.rb_sum, bin.max_re, v,
+                       *table_);
   }
 
   void dfs(std::size_t depth, std::vector<Bin>& bins) {

@@ -19,13 +19,10 @@ PlacementResult queuing_pack(const ProblemInstance& inst,
     return fits_with_reservation(inst, p, vm, pm, table);
   };
   const auto slack = [&](const Placement& p, VmId vm, PmId pm) {
-    const VmSpec& v = inst.vms[vm.value];
-    const std::size_t k_new = p.count_on(pm) + 1;
-    const Resource block = std::max(v.re, max_re_on(inst, p, pm));
-    const Resource footprint =
-        block * static_cast<double>(table.blocks(k_new)) + v.rb +
-        total_rb_on(inst, p, pm);
-    return inst.pms[pm.value].capacity - footprint;
+    return inst.pms[pm.value].capacity -
+           eq17_footprint_with(p.count_on(pm), total_rb_on(inst, p, pm),
+                               max_re_on(inst, p, pm), inst.vms[vm.value],
+                               table);
   };
 
   if (heuristic == "first") return first_fit_place(inst, order, fits);

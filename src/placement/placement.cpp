@@ -2,15 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/error.h"
 
 namespace burstq {
 
-void Placement::init(std::size_t n_vms, std::size_t n_pms) {
+namespace {
+
+// Marks a VM no PM list names.  Positions stay below it: a list holds
+// fewer than n_vms <= kUnlisted entries.
+constexpr std::uint32_t kUnlisted = std::numeric_limits<std::uint32_t>::max();
+
+void check_dims(std::size_t n_vms, std::size_t n_pms) {
   BURSTQ_REQUIRE(n_vms > 0, "placement needs at least one VM slot");
   BURSTQ_REQUIRE(n_pms > 0, "placement needs at least one PM slot");
+  BURSTQ_REQUIRE(n_vms <= kUnlisted,
+                 "placement positions are 32-bit: need < 2^32 VMs");
+}
+
+}  // namespace
+
+void Placement::init(std::size_t n_vms, std::size_t n_pms) {
+  check_dims(n_vms, n_pms);
   pm_of_.resize(n_vms);
   pos_in_pm_.resize(n_vms, 0);
   vms_on_.resize(n_pms);
@@ -28,6 +44,12 @@ Placement::Placement(const ProblemInstance& inst) : inst_(&inst) {
   init(inst.n_vms(), inst.n_pms());
 }
 
+Placement::Placement(const ProblemInstance& inst, PlacementState&& st)
+    : inst_(&inst) {
+  check_dims(inst.n_vms(), inst.n_pms());
+  adopt(std::move(st), inst.n_vms(), inst.n_pms());
+}
+
 void Placement::assign(VmId vm, PmId pm) {
   BURSTQ_REQUIRE(vm.value < pm_of_.size(), "VM index out of range");
   BURSTQ_REQUIRE(pm.value < vms_on_.size(), "PM index out of range");
@@ -35,7 +57,7 @@ void Placement::assign(VmId vm, PmId pm) {
   pm_of_[vm.value] = pm;
   auto& list = vms_on_[pm.value];
   if (list.empty()) ++pms_used_;
-  pos_in_pm_[vm.value] = list.size();
+  pos_in_pm_[vm.value] = static_cast<std::uint32_t>(list.size());
   list.push_back(vm.value);
   ++vms_assigned_;
   if (inst_ != nullptr) {
@@ -56,7 +78,7 @@ void Placement::unassign(VmId vm) {
   // Swap-remove: move the last member into the hole.
   const std::size_t moved = list.back();
   list[pos] = moved;
-  pos_in_pm_[moved] = pos;
+  pos_in_pm_[moved] = static_cast<std::uint32_t>(pos);
   list.pop_back();
   if (list.empty()) --pms_used_;
   pm_of_[vm.value] = PmId{};
@@ -98,29 +120,47 @@ Resource Placement::re_max_on(PmId pm) const {
 }
 
 void Placement::restore_state(const PlacementState& st) {
-  BURSTQ_REQUIRE(st.pm_of.size() == pm_of_.size(),
+  adopt(PlacementState(st), pm_of_.size(), vms_on_.size());
+}
+
+void Placement::adopt(PlacementState&& st, std::size_t n_vms,
+                      std::size_t n_pms) {
+  BURSTQ_REQUIRE(st.pm_of.size() == n_vms,
                  "placement state VM count mismatch");
-  BURSTQ_REQUIRE(st.vms_on.size() == vms_on_.size(),
+  BURSTQ_REQUIRE(st.vms_on.size() == n_pms,
                  "placement state PM count mismatch");
-  pm_of_ = st.pm_of;
-  vms_on_ = st.vms_on;
-  pms_used_ = 0;
-  vms_assigned_ = 0;
-  for (std::size_t pm = 0; pm < vms_on_.size(); ++pm) {
-    if (!vms_on_[pm].empty()) ++pms_used_;
-    for (std::size_t pos = 0; pos < vms_on_[pm].size(); ++pos) {
-      const std::size_t vm = vms_on_[pm][pos];
-      BURSTQ_REQUIRE(vm < pm_of_.size() && pm_of_[vm].value == pm,
-                     "placement state lists disagree with pm_of");
-      pos_in_pm_[vm] = pos;
-      ++vms_assigned_;
-    }
-  }
   if (inst_ != nullptr) {
     BURSTQ_REQUIRE(st.bound,
                    "bound placement restored from unbound state");
-    rb_sum_ = st.rb_sum;
-    re_max_ = st.re_max;
+    BURSTQ_REQUIRE(st.rb_sum.size() == n_pms && st.re_max.size() == n_pms,
+                   "placement state aggregate count mismatch");
+  }
+  pm_of_ = std::move(st.pm_of);
+  vms_on_ = std::move(st.vms_on);
+  // A VM that a list names while its position is set is listed twice;
+  // counting the mapped VMs catches one that no list names.
+  pos_in_pm_.assign(n_vms, kUnlisted);
+  pms_used_ = 0;
+  vms_assigned_ = 0;
+  for (std::size_t pm = 0; pm < n_pms; ++pm) {
+    const auto& list = vms_on_[pm];
+    if (!list.empty()) ++pms_used_;
+    for (std::size_t pos = 0; pos < list.size(); ++pos) {
+      const std::size_t vm = list[pos];
+      BURSTQ_REQUIRE(vm < n_vms && pm_of_[vm].value == pm &&
+                         pos_in_pm_[vm] == kUnlisted,
+                     "placement state lists disagree with pm_of");
+      pos_in_pm_[vm] = static_cast<std::uint32_t>(pos);
+    }
+    vms_assigned_ += list.size();
+  }
+  const auto mapped = static_cast<std::size_t>(std::count_if(
+      pm_of_.begin(), pm_of_.end(), [](PmId pm) { return pm.valid(); }));
+  BURSTQ_REQUIRE(mapped == vms_assigned_,
+                 "placement state lists disagree with pm_of");
+  if (inst_ != nullptr) {
+    rb_sum_ = std::move(st.rb_sum);
+    re_max_ = std::move(st.re_max);
   }
 }
 
@@ -179,17 +219,10 @@ Resource reserved_footprint(const ProblemInstance& inst,
 bool fits_with_reservation(const ProblemInstance& inst,
                            const Placement& placement, VmId vm, PmId pm,
                            const MapCalTable& table) {
-  const std::size_t k_new = placement.count_on(pm) + 1;
-  if (k_new > table.max_vms_per_pm()) return false;
-
-  const VmSpec& v = inst.vms[vm.value];
-  // Eq. (17): max(Re_i, max Re already placed) * mapping(|T|+1)
-  //           + Rb_i + sum Rb already placed  <=  C_j
-  const Resource block = std::max(v.re, max_re_on(inst, placement, pm));
-  const Resource footprint = block * static_cast<double>(table.blocks(k_new)) +
-                             v.rb + total_rb_on(inst, placement, pm);
-  const Resource cap = inst.pms[pm.value].capacity;
-  return footprint <= cap * (1.0 + kCapacityEpsilon);
+  return eq17_admits(inst.pms[pm.value].capacity, placement.count_on(pm),
+                     total_rb_on(inst, placement, pm),
+                     max_re_on(inst, placement, pm), inst.vms[vm.value],
+                     table);
 }
 
 Resource reserved_footprint_specs(std::span<const VmSpec> hosted,
@@ -207,17 +240,14 @@ Resource reserved_footprint_specs(std::span<const VmSpec> hosted,
 bool fits_with_reservation_specs(std::span<const VmSpec> hosted,
                                  const VmSpec& candidate, Resource capacity,
                                  const MapCalTable& table) {
-  const std::size_t k_new = hosted.size() + 1;
-  if (k_new > table.max_vms_per_pm()) return false;
-  Resource block = candidate.re;
-  Resource rb_sum = candidate.rb;
+  Resource re_max = 0.0;
+  Resource rb_sum = 0.0;
   for (const auto& v : hosted) {
-    block = std::max(block, v.re);
+    re_max = std::max(re_max, v.re);
     rb_sum += v.rb;
   }
-  const Resource footprint =
-      block * static_cast<double>(table.blocks(k_new)) + rb_sum;
-  return footprint <= capacity * (1.0 + kCapacityEpsilon);
+  return eq17_admits(capacity, hosted.size(), rb_sum, re_max, candidate,
+                     table);
 }
 
 bool placement_satisfies_reservation(const ProblemInstance& inst,

@@ -15,7 +15,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,16 +40,54 @@ struct PlacementState {
   std::vector<Resource> re_max;
 };
 
+/// Relative tolerance used in capacity comparisons so that reservation
+/// arithmetic on doubles never rejects an exactly-full PM.
+inline constexpr double kCapacityEpsilon = 1e-9;
+
+/// Left-hand side of Eq. (17) once `vm` joins a PM hosting `k` VMs whose
+/// Rb sum to `rb_sum` and whose largest Re is `re_max`:
+///
+///   max(Re_i, re_max) * mapping(k+1) + Rb_i + rb_sum
+///
+/// evaluated left to right.  This is the one Eq. (17) expression: every
+/// admission check and best-fit slack goes through it, so all drivers see
+/// the same bits.  Requires k + 1 <= table.max_vms_per_pm().
+inline Resource eq17_footprint_with(std::size_t k, Resource rb_sum,
+                                    Resource re_max, const VmSpec& vm,
+                                    const MapCalTable& table) {
+  const Resource block = std::max(vm.re, re_max);
+  return block * static_cast<double>(table.blocks(k + 1)) + vm.rb + rb_sum;
+}
+
+/// Eq. (17) on raw per-PM aggregates: can `vm` join a PM of `capacity`
+/// hosting `k` VMs with the given Rb sum and max Re?  False once the PM
+/// hosts table.max_vms_per_pm() VMs (the paper's per-PM cap d).
+inline bool eq17_admits(Resource capacity, std::size_t k, Resource rb_sum,
+                        Resource re_max, const VmSpec& vm,
+                        const MapCalTable& table) {
+  if (k + 1 > table.max_vms_per_pm()) return false;
+  return eq17_footprint_with(k, rb_sum, re_max, vm, table) <=
+         capacity * (1.0 + kCapacityEpsilon);
+}
+
 class Placement {
  public:
   /// Empty mapping over n VMs and m PMs; every VM starts unassigned.
-  /// Aggregates are not tracked (no spec data available).
+  /// Aggregates are not tracked (no spec data available).  Requires
+  /// 0 < n < 2^32 (list positions are stored in 32 bits) and m > 0.
   Placement(std::size_t n_vms, std::size_t n_pms);
 
   /// Empty mapping bound to `inst`: per-PM (k, rb_sum, re_max) aggregates
   /// are maintained incrementally.  `inst` must outlive this placement and
   /// every copy of it that is still mutated.
   explicit Placement(const ProblemInstance& inst);
+
+  /// Placement bound to `inst` that adopts a complete mapping: `st` must
+  /// hold inst.n_vms() pm_of entries, inst.n_pms() lists that agree with
+  /// them (each assigned VM listed exactly once, on its own PM), and bound
+  /// aggregates.  Lists keep their order and the aggregates their bits.
+  /// Throws InvalidArgument otherwise.  O(n + m), no copy of the state.
+  Placement(const ProblemInstance& inst, PlacementState&& st);
 
   /// Assigns `vm` to `pm`.  The VM must currently be unassigned.  O(1).
   void assign(VmId vm, PmId pm);
@@ -109,18 +149,23 @@ class Placement {
   /// placement in place).  Replaces the whole mapping; derived indices
   /// (pos_in_pm_, pms_used_, vms_assigned_) are rebuilt from the lists.
   /// The placement keeps its current binding — aggregates in the state
-  /// are only applied to a bound placement.
+  /// are only applied to a bound placement.  Rejects the same
+  /// inconsistent states as the adopting constructor.
   void restore_state(const PlacementState& st);
 
  private:
   void init(std::size_t n_vms, std::size_t n_pms);
+  /// Takes over `st` (sized n_vms x n_pms) after checking that its lists
+  /// agree with its pm_of; rebuilds the derived indices.  Shared by the
+  /// adopting constructor and restore_state.
+  void adopt(PlacementState&& st, std::size_t n_vms, std::size_t n_pms);
   /// Cold path of the inline accessors: throws InvalidArgument.
   [[noreturn]] static void throw_out_of_range(const char* accessor,
                                               const char* what);
 
   const ProblemInstance* inst_{nullptr};
   std::vector<PmId> pm_of_;
-  std::vector<std::size_t> pos_in_pm_;  ///< index of each VM in its PM list
+  std::vector<std::uint32_t> pos_in_pm_;  ///< index of each VM in its PM list
   std::vector<std::vector<std::size_t>> vms_on_;
   std::vector<Resource> rb_sum_;  ///< per-PM aggregate (bound only)
   std::vector<Resource> re_max_;  ///< per-PM aggregate (bound only)
@@ -188,9 +233,5 @@ bool placement_satisfies_reservation(const ProblemInstance& inst,
 /// Eq. (3) at t = 0 (all VMs OFF): aggregate Rb on each PM within capacity.
 bool placement_satisfies_initial_capacity(const ProblemInstance& inst,
                                           const Placement& placement);
-
-/// Relative tolerance used in capacity comparisons so that reservation
-/// arithmetic on doubles never rejects an exactly-full PM.
-inline constexpr double kCapacityEpsilon = 1e-9;
 
 }  // namespace burstq

@@ -25,8 +25,12 @@ void PmSlackTree::update(std::size_t i, double key) {
   BURSTQ_REQUIRE(i < n_, "slack tree index out of range");
   std::size_t node = base_ + i;
   tree_[node] = key;
-  for (node >>= 1; node >= 1; node >>= 1)
-    tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
+  // Once an ancestor's max holds still, every ancestor above it does too.
+  for (node >>= 1; node >= 1; node >>= 1) {
+    const double max = std::max(tree_[2 * node], tree_[2 * node + 1]);
+    if (tree_[node] == max) break;
+    tree_[node] = max;
+  }
 }
 
 double PmSlackTree::key(std::size_t i) const {
@@ -37,23 +41,24 @@ double PmSlackTree::key(std::size_t i) const {
 std::size_t PmSlackTree::find_first_ge(double threshold,
                                        std::size_t from) const {
   if (from >= n_) return npos;
-  std::size_t node = base_ + from;
-  if (tree_[node] < threshold) {
-    // Walk up until a subtree strictly to the right may contain a hit,
-    // then fall through to the descent below.
-    for (;;) {
+  std::size_t node = 1;  // from == 0: the whole range, the root's subtree
+  if (from == 0) {
+    if (tree_[node] < threshold) return npos;
+  } else {
+    node = base_ + from;
+    // Walk up until a subtree strictly to the right may contain a hit;
+    // the descent below then finds its leftmost qualifying leaf.
+    while (tree_[node] < threshold) {
       while (node & 1u) {
         node >>= 1;
         if (node <= 1) return npos;  // `from` was on the rightmost spine
       }
       ++node;  // right sibling of a left child: next disjoint subtree
-      if (tree_[node] >= threshold) break;
     }
-    // Descend to the leftmost qualifying leaf of that subtree.
-    while (node < base_) {
-      node <<= 1;
-      if (tree_[node] < threshold) ++node;
-    }
+  }
+  while (node < base_) {
+    node <<= 1;
+    if (tree_[node] < threshold) ++node;
   }
   const std::size_t idx = node - base_;
   return idx < n_ ? idx : npos;

@@ -4,8 +4,10 @@
 // a conservative upper bound on the largest Rb the PM could still admit —
 // and needs "lowest-indexed PM at or after `from` whose key is at least
 // t".  A max tree answers that in O(log m) by descending into the
-// leftmost subtree whose maximum clears the threshold, and a key update
-// after an assignment is an O(log m) root-path refresh.  The structure is
+// leftmost subtree whose maximum clears the threshold (from the root when
+// the query covers every PM), and a key update after an assignment is a
+// root-path refresh that stops at the first ancestor whose maximum does
+// not change, O(log m) at worst.  The structure is
 // deliberately generic (doubles + indices, no placement types) so other
 // drivers with a "first index whose key >= threshold" shape can reuse it.
 
@@ -25,7 +27,8 @@ class PmSlackTree {
   /// Builds the tree over `keys` (one per PM).  Requires at least one key.
   explicit PmSlackTree(std::vector<double> keys);
 
-  /// Replaces the key of PM `i` and refreshes the root path.  O(log m).
+  /// Replaces the key of PM `i` and refreshes the root path up to the
+  /// first ancestor whose max is unchanged.  O(log m).
   void update(std::size_t i, double key);
 
   /// Current key of PM `i`.

@@ -91,13 +91,11 @@ PlacementResult run_placement(const ProblemInstance& inst,
     const auto slack = [&](const Placement& placement, VmId vm, PmId pm) {
       // Slack after hypothetical insertion; smaller = tighter = "best".
       // O(1): the driver's placement is instance-bound (see placement.h).
-      const VmSpec& v = inst.vms[vm.value];
-      const std::size_t k_new = placement.count_on(pm) + 1;
-      const Resource block = std::max(v.re, max_re_on(inst, placement, pm));
-      const Resource footprint =
-          block * static_cast<double>(table.blocks(k_new)) + v.rb +
-          total_rb_on(inst, placement, pm);
-      return inst.pms[pm.value].capacity - footprint;
+      return inst.pms[pm.value].capacity -
+             eq17_footprint_with(placement.count_on(pm),
+                                 total_rb_on(inst, placement, pm),
+                                 max_re_on(inst, placement, pm),
+                                 inst.vms[vm.value], table);
     };
     PlacementResult result = best_fit_place(inst, order, fits, slack);
     if constexpr (obs::kEnabled)
@@ -107,7 +105,10 @@ PlacementResult run_placement(const ProblemInstance& inst,
   PlacementResult result = [&] {
     switch (options.engine) {
       case PlacementEngine::kIncremental:
-        return first_fit_place_reservation(inst, order, table);
+        // queuing_ffd / queuing_ffd_with_table validated `inst` already:
+        // one O(n) validation walk per call.
+        return detail::first_fit_place_reservation_validated(inst, order,
+                                                             table);
       case PlacementEngine::kSharded:
         return sharded_place_reservation(inst, order, table, options.sharded);
       case PlacementEngine::kNaive:

@@ -161,13 +161,8 @@ PlacementResult sharded_place_reservation(const ProblemInstance& inst,
   // Exact Eq. (17) over the raw aggregates; bit-identical to
   // fits_with_reservation on a bound placement with the same load.
   const auto exact_fits = [&](std::size_t vi, std::size_t j) {
-    const VmSpec& v = inst.vms[vi];
-    const std::size_t k_new = vm_count[j] + 1;
-    if (k_new > table.max_vms_per_pm()) return false;
-    const double block = std::max(v.re, re_max[j]);
-    const double footprint =
-        block * static_cast<double>(table.blocks(k_new)) + v.rb + rb_sum[j];
-    return footprint <= inst.pms[j].capacity * (1.0 + kCapacityEpsilon);
+    return eq17_admits(inst.pms[j].capacity, vm_count[j], rb_sum[j],
+                       re_max[j], inst.vms[vi], table);
   };
   const auto commit = [&](std::size_t vi, std::size_t j) {
     const VmSpec& v = inst.vms[vi];

@@ -7,8 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "obs/obs.h"
 #include "placement/cluster.h"
@@ -71,6 +78,169 @@ TEST(IncrementalEngine, FirstFitMatchesNaiveUnderLooseAndTightFleets) {
     expect_identical(inst, first_fit_place(inst, order, fits),
                      first_fit_place_reservation(inst, order, table),
                      "fleet size sweep");
+  }
+}
+
+// The engine before its aggregates went flat: one Placement::assign per
+// VM and keys read back off the bound placement.  Reference for the
+// engine's result and for its IncrementalStats.
+PlacementResult assign_per_vm_engine(const ProblemInstance& inst,
+                                     std::span<const std::size_t> order,
+                                     const MapCalTable& table,
+                                     IncrementalStats& stats) {
+  PlacementResult result{Placement(inst), {}};
+  Placement& p = result.placement;
+  const auto key = [&](std::size_t j) {
+    const PmId pm{j};
+    return conservative_admit_key(inst.pms[j].capacity, p.count_on(pm),
+                                  p.rb_sum_on(pm), p.re_max_on(pm), table);
+  };
+  std::vector<double> keys(inst.n_pms());
+  for (std::size_t j = 0; j < keys.size(); ++j) keys[j] = key(j);
+  PmSlackTree tree(std::move(keys));
+  for (const std::size_t vi : order) {
+    bool placed = false;
+    for (std::size_t from = 0;;) {
+      ++stats.tree_descents;
+      const std::size_t j = tree.find_first_ge(inst.vms[vi].rb, from);
+      if (j == PmSlackTree::npos) break;
+      ++stats.exact_checks;
+      if (fits_with_reservation(inst, p, VmId{vi}, PmId{j}, table)) {
+        p.assign(VmId{vi}, PmId{j});
+        tree.update(j, key(j));
+        placed = true;
+        break;
+      }
+      from = j + 1;
+    }
+    if (!placed) result.unplaced.push_back(VmId{vi});
+  }
+  return result;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Everything a caller can read off the result: mapping, list order,
+// aggregate bits, counts and the unplaced list.
+void expect_same_result(const ProblemInstance& inst, const PlacementResult& a,
+                        const PlacementResult& b, const std::string& what) {
+  expect_identical(inst, a, b, what.c_str());
+  ASSERT_EQ(a.placement.pms_used(), b.placement.pms_used()) << what;
+  ASSERT_EQ(a.placement.vms_assigned(), b.placement.vms_assigned()) << what;
+  for (std::size_t j = 0; j < inst.n_pms(); ++j) {
+    const PmId pm{j};
+    ASSERT_EQ(a.placement.vms_on(pm), b.placement.vms_on(pm))
+        << what << ": PM " << j;
+    ASSERT_EQ(bits(a.placement.rb_sum_on(pm)), bits(b.placement.rb_sum_on(pm)))
+        << what << ": PM " << j;
+    ASSERT_EQ(bits(a.placement.re_max_on(pm)), bits(b.placement.re_max_on(pm)))
+        << what << ": PM " << j;
+  }
+}
+
+TEST(IncrementalEngine, MatchesNaiveOnSaturatedHeterogeneousAndDOneFleets) {
+  struct Case {
+    const char* name;
+    std::size_t n, m, d;
+    InstanceRanges ranges;
+  };
+  InstanceRanges hetero;
+  hetero.capacity_lo = 20.0;
+  hetero.capacity_hi = 160.0;
+  const Case cases[] = {
+      {"saturated", 400, 15, 16, InstanceRanges{}},
+      {"d=1", 120, 150, 1, InstanceRanges{}},
+      {"d=1 saturated", 120, 40, 1, InstanceRanges{}},
+      {"heterogeneous capacities", 500, 120, 12, hetero},
+      {"heterogeneous saturated", 500, 30, 8, hetero},
+  };
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : {3u, 71u}) {
+      Rng rng(seed);
+      const auto inst = random_instance(c.n, c.m, kParams, c.ranges, rng);
+      const auto order = queuing_ffd_order(inst.vms, 8);
+      const MapCalTable table(c.d, kParams, 0.02);
+      const auto fits = [&](const Placement& p, VmId vm, PmId pm) {
+        return fits_with_reservation(inst, p, vm, pm, table);
+      };
+      const std::string what =
+          std::string(c.name) + " seed " + std::to_string(seed);
+
+      IncrementalStats stats;
+      const auto engine =
+          first_fit_place_reservation(inst, order, table, &stats);
+      expect_same_result(inst, first_fit_place(inst, order, fits), engine,
+                         what);
+      IncrementalStats ref_stats;
+      const auto ref = assign_per_vm_engine(inst, order, table, ref_stats);
+      expect_same_result(inst, ref, engine, what + " (assign per VM)");
+      EXPECT_EQ(stats.tree_descents, ref_stats.tree_descents) << what;
+      EXPECT_EQ(stats.exact_checks, ref_stats.exact_checks) << what;
+      if (std::string(c.name).find("saturated") != std::string::npos) {
+        EXPECT_FALSE(engine.unplaced.empty()) << what;
+      }
+    }
+  }
+}
+
+TEST(IncrementalEngine, RejectsAnOrderThatNamesAVmTwiceOrOutOfRange) {
+  Rng rng(5);
+  const auto inst = random_churn_instance(20, 10, rng);
+  const MapCalTable table(8, kParams, 0.02);
+  std::vector<std::size_t> order(inst.n_vms());
+  std::iota(order.begin(), order.end(), 0);
+  order[7] = 3;
+  EXPECT_THROW((void)first_fit_place_reservation(inst, order, table),
+               InvalidArgument);
+  order[7] = inst.n_vms();
+  EXPECT_THROW((void)first_fit_place_reservation(inst, order, table),
+               InvalidArgument);
+  order.pop_back();
+  EXPECT_THROW((void)first_fit_place_reservation(inst, order, table),
+               InvalidArgument);
+}
+
+// --- One validation walk per call; every entry point still throws ------
+
+std::vector<ProblemInstance> invalid_instances() {
+  Rng rng(8);
+  const auto valid = random_churn_instance(30, 10, rng);
+  std::vector<ProblemInstance> bad(4, valid);
+  bad[0].vms[4].rb = -1.0;
+  bad[1].vms[9].re = std::numeric_limits<double>::quiet_NaN();
+  bad[2].pms[2].capacity = 0.0;
+  bad[3].vms[0].onoff.p_on = 1.5;
+  return bad;
+}
+
+TEST(InstanceValidation, EveryQueuingFfdEngineThrows) {
+  for (const auto& inst : invalid_instances()) {
+    for (const PlacementEngine engine :
+         {PlacementEngine::kIncremental, PlacementEngine::kNaive,
+          PlacementEngine::kSharded}) {
+      QueuingFfdOptions opt;
+      opt.engine = engine;
+      EXPECT_THROW((void)queuing_ffd(inst, opt), InvalidArgument);
+    }
+    QueuingFfdOptions best;
+    best.use_best_fit = true;
+    EXPECT_THROW((void)queuing_ffd(inst, best), InvalidArgument);
+  }
+}
+
+TEST(InstanceValidation, QueuingFfdWithTableThrows) {
+  const MapCalTable table(16, kParams, 0.01);
+  for (const auto& inst : invalid_instances())
+    EXPECT_THROW((void)queuing_ffd_with_table(inst, table), InvalidArgument);
+}
+
+TEST(InstanceValidation, DirectFirstFitReservationThrows) {
+  const MapCalTable table(16, kParams, 0.01);
+  for (const auto& inst : invalid_instances()) {
+    std::vector<std::size_t> order(inst.n_vms());
+    std::iota(order.begin(), order.end(), 0);
+    EXPECT_THROW((void)first_fit_place_reservation(inst, order, table),
+                 InvalidArgument);
   }
 }
 
@@ -266,6 +436,48 @@ TEST(PmSlackTree, RandomizedAgainstLinearScan) {
         }
       ASSERT_EQ(tree.find_first_ge(threshold, from), expect)
           << "trial " << trial << " query " << q;
+    }
+  }
+}
+
+TEST(PmSlackTree, RisingAndFallingKeysAgainstLinearScan) {
+  // Keys rise as well as fall (a LiveFleet departure raises its PM's key)
+  // and include -inf (a PM at its VM cap), so the early stop of update()
+  // is exercised both ways; from = 0 takes the root descent.
+  const double ninf = -std::numeric_limits<double>::infinity();
+  Rng rng(4711);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + rng.next_below(trial < 20 ? 17 : 300);
+    std::vector<double> keys(n);
+    for (auto& k : keys)
+      k = rng.next_below(5) == 0 ? ninf : std::round(rng.uniform(-4, 4));
+    PmSlackTree tree(keys);
+    for (int q = 0; q < 400; ++q) {
+      const std::size_t i = rng.next_below(n);
+      const std::uint64_t move = rng.next_below(6);
+      if (move == 0)
+        keys[i] = ninf;
+      else if (move == 1)
+        keys[i] = keys[i] == ninf ? 0.0 : keys[i] + rng.uniform(0, 3);
+      else if (move == 2)
+        keys[i] -= rng.uniform(0, 3);
+      else if (move == 3)
+        keys[i] = std::round(rng.uniform(-4, 4));  // often an unchanged max
+      tree.update(i, keys[i]);
+      ASSERT_EQ(tree.key(i), keys[i]);
+
+      const double threshold =
+          rng.next_below(10) == 0 ? ninf : std::round(rng.uniform(-5, 5));
+      const std::size_t from =
+          rng.next_below(3) == 0 ? 0 : rng.next_below(n + 2);
+      std::size_t expect = PmSlackTree::npos;
+      for (std::size_t j = from; j < n; ++j)
+        if (keys[j] >= threshold) {
+          expect = j;
+          break;
+        }
+      ASSERT_EQ(tree.find_first_ge(threshold, from), expect)
+          << "trial " << trial << " step " << q << " n " << n;
     }
   }
 }

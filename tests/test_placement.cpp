@@ -161,6 +161,83 @@ TEST(PlacementValidation, DetectsVmCapViolation) {
   EXPECT_FALSE(placement_satisfies_reservation(inst, p, table));
 }
 
+// --- Adopting constructor ---------------------------------------------
+
+// small_instance() mapped VM0, VM2 -> PM0 (in that list order) and VM1
+// unplaced, with aggregates as assign() would accumulate them.
+PlacementState small_state() {
+  PlacementState st;
+  st.pm_of = {PmId{0}, PmId{}, PmId{0}};
+  st.vms_on = {{2, 0}, {}};
+  st.bound = true;
+  st.rb_sum = {5.0 + 10.0, 0.0};
+  st.re_max = {4.0, 0.0};
+  return st;
+}
+
+TEST(AdoptingPlacement, TakesListsAndAggregatesAsGiven) {
+  const auto inst = small_instance();
+  Placement p(inst, small_state());
+  EXPECT_TRUE(p.tracks_aggregates(inst));
+  EXPECT_EQ(p.pm_of(VmId{0}), PmId{0});
+  EXPECT_FALSE(p.assigned(VmId{1}));
+  EXPECT_EQ(p.vms_on(PmId{0}), (std::vector<std::size_t>{2, 0}));
+  EXPECT_EQ(p.pms_used(), 1u);
+  EXPECT_EQ(p.vms_assigned(), 2u);
+  EXPECT_EQ(p.rb_sum_on(PmId{0}), 15.0);
+  EXPECT_EQ(p.re_max_on(PmId{0}), 4.0);
+  // The position index was rebuilt: swap-remove and re-assign still work.
+  p.unassign(VmId{2});
+  EXPECT_EQ(p.vms_on(PmId{0}), (std::vector<std::size_t>{0}));
+  p.assign(VmId{1}, PmId{1});
+  EXPECT_TRUE(aggregates_consistent(inst, p));
+}
+
+TEST(AdoptingPlacement, RejectsListsThatDisagreeWithPmOf) {
+  const auto inst = small_instance();
+  auto wrong_pm = small_state();
+  wrong_pm.vms_on = {{2}, {0}};  // VM0 listed on PM1, mapped to PM0
+  auto listed_twice = small_state();
+  listed_twice.vms_on = {{2, 0, 2}, {}};
+  auto unlisted = small_state();
+  unlisted.vms_on = {{2}, {}};  // VM0 mapped to PM0 but on no list
+  auto listed_unmapped = small_state();
+  listed_unmapped.vms_on = {{2, 0}, {1}};  // VM1 is unmapped
+  auto twice_for_missing = small_state();
+  twice_for_missing.vms_on = {{2, 2}, {}};  // right count, VM0 missing
+  auto out_of_range = small_state();
+  out_of_range.vms_on = {{2, 0, 7}, {}};
+  for (auto* st : {&wrong_pm, &listed_twice, &unlisted, &listed_unmapped,
+                   &twice_for_missing, &out_of_range})
+    EXPECT_THROW(Placement(inst, std::move(*st)), InvalidArgument);
+}
+
+TEST(AdoptingPlacement, RejectsWrongShapesAndUnboundState) {
+  const auto inst = small_instance();
+  auto short_pm_of = small_state();
+  short_pm_of.pm_of.pop_back();
+  auto extra_pm = small_state();
+  extra_pm.vms_on.emplace_back();
+  auto unbound = small_state();
+  unbound.bound = false;
+  auto short_sums = small_state();
+  short_sums.rb_sum.pop_back();
+  for (auto* st : {&short_pm_of, &extra_pm, &unbound, &short_sums})
+    EXPECT_THROW(Placement(inst, std::move(*st)), InvalidArgument);
+}
+
+TEST(AdoptingPlacement, RestoreStateRejectsTheSameStates) {
+  const auto inst = small_instance();
+  Placement p(inst);
+  auto listed_twice = small_state();
+  listed_twice.vms_on = {{2, 0, 2}, {}};
+  EXPECT_THROW(p.restore_state(listed_twice), InvalidArgument);
+  Placement q(inst);
+  q.restore_state(small_state());
+  EXPECT_EQ(q.vms_on(PmId{0}), (std::vector<std::size_t>{2, 0}));
+  EXPECT_EQ(q.rb_sum_on(PmId{0}), 15.0);
+}
+
 TEST(Ids, StrongTypingAndHash) {
   VmId v{3};
   PmId m{3};
