@@ -55,14 +55,6 @@ int main(int argc, char** argv) {
                   "worker threads for parallel stages "
                   "(0 = BURSTQ_THREADS or hardware)",
                   "0");
-  args.add_option("shards",
-                  "PM shards for admission routing (0 = auto from the "
-                  "fleet size)",
-                  "1");
-  args.add_option("decision-budget",
-                  "max exact Eq. 17 checks per admission decision "
-                  "(0 = unlimited)",
-                  "0");
   obs::add_telemetry_options(args);
   if (!args.parse(argc, argv)) {
     std::cerr << args.error() << "\n" << args.usage();
@@ -92,10 +84,6 @@ int main(int argc, char** argv) {
   ControllerConfig cfg;
   cfg.maintenance_every = 360;  // every 3 hours of 30s slots
   cfg.maintenance_budget = 25;
-  cfg.ffd.sharded.shards =
-      static_cast<std::size_t>(args.get_int("shards"));
-  cfg.ffd.sharded.decision_budget =
-      static_cast<std::size_t>(args.get_int("decision-budget"));
   const std::size_t n_pms = 120;
 
   // SLO watch: fast = 5 min of 30 s slots, slow = 1 h, against the

@@ -199,24 +199,18 @@ QueuingFfdOptions load_options(const ArgParser& args) {
   QueuingFfdOptions opt;
   opt.rho = args.get_double("rho");
   opt.max_vms_per_pm = static_cast<std::size_t>(args.get_int("d"));
-  // --engine/--shards are only declared by `place`; has() is false for
-  // subcommands that never registered them.
+  // --engine is only declared by `place`; has() is false for subcommands
+  // that never registered it.
   if (args.has("engine")) {
     const std::string engine = args.get("engine");
     if (engine == "incremental") {
       opt.engine = PlacementEngine::kIncremental;
     } else if (engine == "naive") {
       opt.engine = PlacementEngine::kNaive;
-    } else if (engine == "sharded") {
-      opt.engine = PlacementEngine::kSharded;
     } else {
       throw InvalidArgument("unknown engine: " + engine);
     }
   }
-  if (args.has("shards"))
-    opt.sharded.shards = static_cast<std::size_t>(args.get_int("shards"));
-  if (args.has("threads"))
-    opt.sharded.threads = static_cast<std::size_t>(args.get_int("threads"));
   return opt;
 }
 
@@ -232,12 +226,8 @@ int cmd_place(int argc, const char* const* argv) {
   args.add_option("rho", "CVR budget", "0.01");
   args.add_option("d", "max VMs per PM", "16");
   args.add_option("engine",
-                  "queue-strategy driver: incremental | naive | sharded",
+                  "queue-strategy driver: incremental | naive",
                   "incremental");
-  args.add_option("shards",
-                  "PM shards for the sharded engine (0 = auto from the "
-                  "fleet size)",
-                  "1");
   args.add_flag("quiet", "suppress the stderr summary");
   add_thread_option(args);
   add_obs_options(args);

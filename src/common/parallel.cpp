@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <thread>
+#include <vector>
 
 namespace burstq {
 
@@ -34,82 +36,25 @@ void set_thread_count_override(std::size_t n) {
   g_thread_override.store(n, std::memory_order_relaxed);
 }
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  std::size_t n = threads;
-  if (n == 0) n = default_thread_count();
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& t : workers_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::unique_lock lock(mu_);
-    queue_.push_back(std::move(job));
-  }
-  cv_work_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock lock(mu_);
-      cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to do
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    job();
-    {
-      std::unique_lock lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t threads) {
-  parallel_for_workers(
-      n, [&fn](std::size_t i, std::size_t /*worker*/) { fn(i); }, threads);
-}
-
-void parallel_for_workers(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t threads) {
   if (n == 0) return;
   std::size_t workers = threads;
   if (workers == 0) workers = default_thread_count();
   workers = std::min(workers, n);
   if (workers == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> ts;
   ts.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    ts.emplace_back([&, w] {
+    ts.emplace_back([&] {
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) return;
-        fn(i, w);
+        fn(i);
       }
     });
   }

@@ -26,8 +26,7 @@ CloudController::CloudController(std::vector<PmSpec> pms,
       rng_(rng),
       fleet_(std::move(pms),
              MapCalTable(config.ffd.max_vms_per_pm, OnOffParams{},
-                         config.ffd.rho, config.ffd.method),
-             config.ffd.sharded),
+                         config.ffd.rho, config.ffd.method)),
       tracker_(fleet_.n_pms(), config.policy.cvr_window),
       meter_(config.power, config.sigma_seconds) {
   config_.validate();
@@ -38,7 +37,7 @@ CloudController::CloudController(std::vector<PmSpec> pms,
 
 std::optional<TenantId> CloudController::admit(const VmSpec& vm) {
   vm.validate();
-  const auto pm = fleet_.first_fit(vm, fleet_.next_home());
+  const auto pm = fleet_.first_fit(vm);
   if (!pm) {
     ++stats_.rejections;
     return std::nullopt;
@@ -107,7 +106,7 @@ void CloudController::inject_pm_crash(PmId pm) {
   BURSTQ_REQUIRE(pm.valid() && pm.value < fleet_.n_pms(),
                  "inject_pm_crash on an out-of-range PM");
   if (!fleet_.pm_up(pm)) return;
-  fleet_.set_up(pm, false);  // key -inf: routing skips the dead host
+  fleet_.set_up(pm, false);  // key -inf: first-fit skips the dead host
   ++stats_.pm_crashes;
   BURSTQ_COUNT("fault.pm.crashes", 1);
   BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.pm.crash",
@@ -118,7 +117,7 @@ void CloudController::inject_pm_crash(PmId pm) {
   const std::vector<std::size_t> victims = fleet_.hosted(pm);
   for (std::size_t s : victims) fleet_.park(s);
   for (std::size_t s : victims) {
-    if (const auto target = fleet_.first_fit(fleet_.slot(s).spec, 0)) {
+    if (const auto target = fleet_.first_fit(fleet_.slot(s).spec)) {
       fleet_.attach(s, *target);
       ++stats_.evacuations;
       BURSTQ_COUNT("fault.evacuations", 1);
@@ -154,7 +153,7 @@ void CloudController::drain_queue() {
     ++q.retries;
     ++stats_.retries;
     BURSTQ_COUNT("migration.retries", 1);
-    if (const auto target = fleet_.first_fit(fleet_.slot(q.slot).spec, 0)) {
+    if (const auto target = fleet_.first_fit(fleet_.slot(q.slot).spec)) {
       fleet_.attach(q.slot, *target);
       BURSTQ_COUNT("fault.queue.drained", 1);
       BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.queue.admit",
@@ -205,9 +204,9 @@ void CloudController::run_scheduler(std::vector<Resource>& load) {
     const double vdemand = vspec.demand(chains_[victim].state());
 
     // Target: reservation-aware by default in the controller — this is
-    // the burstiness-aware component an operator deploys.  Routed through
-    // the shard index like an arrival, skipping the violating source.
-    if (const auto target = fleet_.first_fit(vspec, 0, source)) {
+    // the burstiness-aware component an operator deploys.  First-fit like
+    // an arrival, skipping the violating source.
+    if (const auto target = fleet_.first_fit(vspec, source)) {
       fleet_.move(victim, *target);
       load[j] -= vdemand;
       load[target->value] += vdemand;
@@ -360,7 +359,7 @@ std::uint32_t controller_config_crc(const std::vector<PmSpec>& pms,
   for (const PmSpec& p : pms) cfg.f64(p.capacity);
   cfg.varint(config.ffd.max_vms_per_pm);
   cfg.f64(config.ffd.rho);
-  cfg.varint(config.ffd.sharded.shards);
+  cfg.varint(1);  // the shard count of the retired sharded engine
   cfg.varint(config.policy.cvr_window);
   cfg.varint(config.maintenance_every);
   cfg.boolean(config.slo != nullptr);
@@ -405,7 +404,8 @@ std::string CloudController::export_state() const {
   for (std::size_t j = 0; j < fleet_.n_pms(); ++j)
     w.size_vec(fleet_.hosted(PmId{j}));
   w.u8_vec(fleet_.up());
-  w.varint(fleet_.route_seq());
+  // Arrivals: every admit() ends in exactly one of these two counts.
+  w.varint(stats_.admissions + stats_.rejections);
 
   w.varint(queue_.size());
   for (const QueuedTenant& q : queue_) {
@@ -458,9 +458,9 @@ void CloudController::import_state(std::string_view blob) {
   fc.hosted.resize(fleet_.n_pms());
   for (auto& list : fc.hosted) list = r.size_vec();
   fc.up = r.u8_vec();
-  fc.route_seq = r.varint();
-  // The keys and shard index are rebuilt from the restored hosted sets,
-  // liveness and table, exactly as in the constructor.
+  const std::size_t arrivals = r.varint();
+  // The keys are rebuilt from the restored hosted sets, liveness and
+  // table, exactly as in the constructor.
   if (const char* bad = fleet_.restore(
           std::move(fc), MapCalTable(config_.ffd.max_vms_per_pm,
                                      table_params, config_.ffd.rho,
@@ -485,6 +485,8 @@ void CloudController::import_state(std::string_view blob) {
 
   for (const auto field : kStatCounts) stats_.*field = r.varint();
   for (const auto field : kStatReals) stats_.*field = r.f64();
+  if (arrivals != stats_.admissions + stats_.rejections)
+    r.fail("arrival count does not match admissions plus rejections");
   if (stats_.vms_hosted != fleet_.live_count())
     r.fail("hosted tenant count mismatch");
 

@@ -10,13 +10,13 @@
 //
 // The controller drives a *dynamic* fleet: VMs arrive and depart at any
 // slot.  Admission state — the slot table, hosted lists, PM liveness and
-// the sharded admit index — lives in a LiveFleet (placement/live_fleet.h),
-// the same one OnlineConsolidator drives, so both apply one Eq. (17)
-// first-fit.  On top of it the controller keeps what only a running
-// cloud needs: a per-tenant ON/OFF chain (rather than a fixed
-// WorkloadEnsemble), the post-crash admission queue, the CVR-triggered
-// scheduler, maintenance, the CVR and energy trackers, and the state
-// codec.
+// the slack tree over admissibility keys — lives in a LiveFleet
+// (placement/live_fleet.h), the same one OnlineConsolidator drives, so
+// both apply one Eq. (17) first-fit.  On top of it the controller keeps
+// what only a running cloud needs: a per-tenant ON/OFF chain (rather than
+// a fixed WorkloadEnsemble), the post-crash admission queue, the
+// CVR-triggered scheduler, maintenance, the CVR and energy trackers, and
+// the state codec.
 
 #pragma once
 
@@ -110,8 +110,8 @@ class CloudController {
   void depart(TenantId id);
 
   /// Resizes a live tenant to `new_spec`.  Stays on its PM when Eq. (17)
-  /// still holds there; otherwise it is migrated like a fresh arrival
-  /// (home shard = its current PM's).  When nothing fits, the original
+  /// still holds there; otherwise it is migrated like a fresh arrival.
+  /// When nothing fits, the original
   /// spec is restored in place (always feasible) and false is returned.
   /// Queued tenants just swap their spec (they are re-placed on drain).
   /// Changing the ON/OFF parameters restarts the tenant's chain from its

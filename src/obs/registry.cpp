@@ -10,7 +10,7 @@ namespace detail {
 
 std::size_t shard_index() noexcept {
   // One hash per thread, cached; consecutive thread creations spread over
-  // shards well enough for the transient pools parallel_for spawns.
+  // shards well enough for the transient workers parallel_for spawns.
   static thread_local const std::size_t idx =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) %
       kMetricShards;

@@ -1,7 +1,7 @@
 // Lock-cheap metrics registry: named counters, gauges and histograms.
 //
 // Hot-path updates go to per-thread shards (cache-line-padded relaxed
-// atomics, shard picked by a hashed thread id) so the ThreadPool fan-out
+// atomics, shard picked by a hashed thread id) so the parallel_for fan-out
 // in common/parallel.h never contends on a metric; scrape() merges the
 // shards into an immutable snapshot.  Metric objects are registered once
 // per name and never destroyed, so call sites may cache references

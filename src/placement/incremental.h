@@ -47,9 +47,9 @@ inline constexpr double kSlackFilterMargin = 1e-9;
 /// Conservative admissibility key of a PM with the given capacity and
 /// load aggregates: an upper bound on the largest Rb the PM could still
 /// admit under Eq. (17).  -inf once the per-PM VM cap is reached.  Shared
-/// by the incremental engine, the sharded engine (sharded.h), and the
-/// online/controller admit indices — all of them must compute the exact
-/// same key for their slack trees to agree bit-for-bit.
+/// by the incremental engine and the live fleet behind online admission
+/// (live_fleet.h) — both must compute the exact same key for their slack
+/// trees to agree bit-for-bit.
 double conservative_admit_key(double capacity, std::size_t vm_count,
                               double rb_sum, double re_max,
                               const MapCalTable& table);

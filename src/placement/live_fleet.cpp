@@ -4,34 +4,36 @@
 #include <limits>
 
 #include "common/error.h"
-#include "obs/obs.h"
 #include "placement/incremental.h"
 #include "placement/placement.h"
 
 namespace burstq {
 
-LiveFleet::LiveFleet(std::vector<PmSpec> pms, MapCalTable table,
-                     const ShardedOptions& routing)
-    : pms_(std::move(pms)),
-      table_(std::move(table)),
-      routing_(routing),
-      hosted_(pms_.size()),
-      up_(pms_.size(), 1) {
-  BURSTQ_REQUIRE(!pms_.empty(), "live fleet needs at least one PM");
-  for (const auto& p : pms_) p.validate();
-  index_.reset(pms_.size(), routing_.shards);
-  refresh_all_keys();
+namespace {
+
+constexpr double kDown = -std::numeric_limits<double>::infinity();
+
+/// Placeholder keys for the slack tree until refresh_all_keys runs.
+std::vector<double> initial_keys(const std::vector<PmSpec>& pms) {
+  BURSTQ_REQUIRE(!pms.empty(), "live fleet needs at least one PM");
+  for (const auto& p : pms) p.validate();
+  return std::vector<double>(pms.size(), kDown);
 }
 
-std::size_t LiveFleet::next_home() {
-  const std::size_t home = route_seq_ % index_.shard_count();
-  ++route_seq_;
-  return home;
+}  // namespace
+
+LiveFleet::LiveFleet(std::vector<PmSpec> pms, MapCalTable table)
+    : pms_(std::move(pms)),
+      table_(std::move(table)),
+      hosted_(pms_.size()),
+      up_(pms_.size(), 1),
+      tree_(initial_keys(pms_)) {
+  refresh_all_keys();
 }
 
 void LiveFleet::refresh_key(PmId pm) {
   if (!up_[pm.value]) {
-    index_.set_key(pm.value, -std::numeric_limits<double>::infinity());
+    tree_.update(pm.value, kDown);
     return;
   }
   // No per-PM aggregate caches: a hosted list holds at most d entries, so
@@ -42,10 +44,10 @@ void LiveFleet::refresh_key(PmId pm) {
     rb_sum += slots_[s].spec.rb;
     re_max = std::max(re_max, slots_[s].spec.re);
   }
-  index_.set_key(pm.value,
-                 conservative_admit_key(pms_[pm.value].capacity,
-                                        hosted_[pm.value].size(), rb_sum,
-                                        re_max, table_));
+  tree_.update(pm.value,
+               conservative_admit_key(pms_[pm.value].capacity,
+                                      hosted_[pm.value].size(), rb_sum,
+                                      re_max, table_));
 }
 
 void LiveFleet::refresh_all_keys() {
@@ -57,22 +59,18 @@ void LiveFleet::hosted_specs(PmId pm, std::vector<VmSpec>& out) const {
   for (std::size_t s : hosted_[pm.value]) out.push_back(slots_[s].spec);
 }
 
-std::optional<PmId> LiveFleet::first_fit(const VmSpec& vm, std::size_t home,
-                                         PmId skip) {
-  const auto outcome = index_.route(
-      vm.rb, home,
-      [&](std::size_t j) {
-        if (skip.valid() && j == skip.value) return false;
-        // Down PMs never reach here: their key is -inf.
-        hosted_specs(PmId{j}, scratch_);
-        return fits_with_reservation_specs(scratch_, vm, pms_[j].capacity,
-                                           table_);
-      },
-      routing_.decision_budget);
-  if (outcome.budget_exhausted)
-    BURSTQ_COUNT("placement.shard.budget_exhausted", 1);
-  if (outcome.pm == ShardedAdmitIndex::npos) return std::nullopt;
-  return PmId{outcome.pm};
+std::optional<PmId> LiveFleet::first_fit(const VmSpec& vm, PmId skip) {
+  // The key filter is conservative, so a PM it passes may still fail the
+  // exact check; the scan then resumes after it.  Down PMs never pass:
+  // their key is -inf.
+  for (std::size_t j = tree_.find_first_ge(vm.rb); j != PmSlackTree::npos;
+       j = tree_.find_first_ge(vm.rb, j + 1)) {
+    if (skip.valid() && j == skip.value) continue;
+    hosted_specs(PmId{j}, scratch_);
+    if (fits_with_reservation_specs(scratch_, vm, pms_[j].capacity, table_))
+      return PmId{j};
+  }
+  return std::nullopt;
 }
 
 std::size_t LiveFleet::place(const VmSpec& vm, PmId pm) {
@@ -142,10 +140,9 @@ ResizeOutcome LiveFleet::resize(std::size_t s, const VmSpec& spec) {
     return ResizeOutcome::kStayed;
   }
 
-  // Detach, then route with the current PM's shard as home
-  // (locality-preserving and deterministic).
+  // Detach, then first-fit like an arrival.
   park(s);
-  const auto target = first_fit(spec, index_.shard_of(pm.value));
+  const auto target = first_fit(spec);
   if (!target) {
     attach(s, pm);
     return ResizeOutcome::kRejected;
@@ -238,9 +235,7 @@ const char* LiveFleet::restore(Contents c, MapCalTable table) {
   free_slots_ = std::move(c.free_slots);
   hosted_ = std::move(c.hosted);
   up_ = std::move(c.up);
-  route_seq_ = c.route_seq;
-  // Derived structures are rebuilt, never restored.
-  index_.reset(m, routing_.shards);
+  // The keys are derived: refreshed, never restored.
   refresh_all_keys();
   return nullptr;
 }

@@ -3,16 +3,15 @@
 // (core/controller.h).  It owns the PMs and the mapping table, a slot
 // table with a LIFO free list (slot ids are the callers' stable handles),
 // per-PM hosted lists in admission order (the back is always the newest
-// VM), a PM up/down mask, and a ShardedAdmitIndex (sharded.h) over
-// conservative admissibility keys with a round-robin home shard for
-// arrivals.
+// VM), a PM up/down mask, and one PmSlackTree (pm_slack_tree.h) over
+// conservative admissibility keys (incremental.h), -inf for a down PM.
 //
-// Every admission is first_fit(): candidates come off the shard index in
-// routing order and each is confirmed by fits_with_reservation_specs over
-// the hosted list.  With one shard and no decision budget this is exactly
-// the linear first-fit scan over the up PMs.  Reservation is a pure
-// function of a PM's hosted set, so "recalculating the queue size" is
-// just refreshing the touched PMs' keys.
+// Every admission is first_fit(): the tree yields key-admissible PMs in
+// ascending index order and each is confirmed by
+// fits_with_reservation_specs over the hosted list, so the answer is
+// exactly the linear first-fit scan over the up PMs.  Reservation is a
+// pure function of a PM's hosted set, so "recalculating the queue size"
+// is just refreshing the touched PMs' keys.
 
 #pragma once
 
@@ -21,7 +20,7 @@
 #include <optional>
 #include <vector>
 
-#include "placement/sharded.h"
+#include "placement/pm_slack_tree.h"
 #include "placement/spec.h"
 #include "queuing/mapcal.h"
 
@@ -39,28 +38,21 @@ struct FleetSlot {
 /// How LiveFleet::resize resolved.
 enum class ResizeOutcome {
   kStayed,    ///< Eq. (17) still holds on the current PM (or it is parked)
-  kMoved,     ///< routed to another PM like a fresh arrival
+  kMoved,     ///< first-fit to another PM like a fresh arrival
   kRejected,  ///< nothing admits the new spec; the old one was restored
 };
 
 class LiveFleet {
  public:
-  /// An empty fleet over `pms` (all up) under `table`; `routing` gives
-  /// the shard count and the per-decision budget of exact checks.
-  LiveFleet(std::vector<PmSpec> pms, MapCalTable table,
-            const ShardedOptions& routing);
+  /// An empty fleet over `pms` (all up) under `table`.
+  LiveFleet(std::vector<PmSpec> pms, MapCalTable table);
 
-  /// Next round-robin home shard for an arrival.
-  std::size_t next_home();
-
-  /// First PM that admits `vm` under Eq. (17): the `home` shard first,
-  /// then the other shards in fixed order, never `skip`, never a down PM.
-  /// nullopt when nothing admits it or the decision budget runs out.
-  std::optional<PmId> first_fit(const VmSpec& vm, std::size_t home,
-                                PmId skip = PmId{});
+  /// Lowest-indexed PM that admits `vm` under Eq. (17), never `skip`,
+  /// never a down PM; nullopt when nothing admits it.
+  std::optional<PmId> first_fit(const VmSpec& vm, PmId skip = PmId{});
 
   /// A new live slot for `vm` on `pm` (reusing the most recently freed
-  /// slot id first).  No admission check: callers route first.
+  /// slot id first).  No admission check: callers run first_fit.
   std::size_t place(const VmSpec& vm, PmId pm);
   /// Frees a live slot, detaching it from its PM if placed.
   void remove(std::size_t slot);
@@ -73,7 +65,7 @@ class LiveFleet {
 
   /// Gives a live slot `spec`.  A parked slot just takes it.  A placed
   /// slot stays when Eq. (17) still holds on its PM; otherwise it is
-  /// detached and routed with its PM's shard as home; when nothing admits
+  /// detached and first-fit like an arrival; when nothing admits
   /// the new spec the old spec goes back on the old PM (always feasible:
   /// that exact hosted set held before) as its newest VM.
   ResizeOutcome resize(std::size_t slot, const VmSpec& spec);
@@ -106,7 +98,6 @@ class LiveFleet {
   }
   [[nodiscard]] const std::vector<std::uint8_t>& up() const { return up_; }
   [[nodiscard]] bool pm_up(PmId pm) const { return up_[pm.value] != 0; }
-  [[nodiscard]] std::size_t route_seq() const { return route_seq_; }
   [[nodiscard]] std::size_t pms_used() const;
 
   /// True when `pm`'s hosted set satisfies Eq. (17) under the current
@@ -117,13 +108,12 @@ class LiveFleet {
   /// live slot on an up PM.
   [[nodiscard]] bool reservation_invariant_holds() const;
 
-  /// The persistent part of the fleet (keys and index are derived).
+  /// The persistent part of the fleet (the keys are derived).
   struct Contents {
     std::vector<FleetSlot> slots;
     std::vector<std::size_t> free_slots;
     std::vector<std::vector<std::size_t>> hosted;
     std::vector<std::uint8_t> up;
-    std::size_t route_seq{0};
   };
 
   /// Replaces the fleet with `c` under `table` if it is consistent: PM
@@ -141,13 +131,11 @@ class LiveFleet {
 
   std::vector<PmSpec> pms_;
   MapCalTable table_;
-  ShardedOptions routing_;
   std::vector<FleetSlot> slots_;
   std::vector<std::size_t> free_slots_;  ///< LIFO
   std::vector<std::vector<std::size_t>> hosted_;
   std::vector<std::uint8_t> up_;  ///< 1 = up
-  ShardedAdmitIndex index_;       ///< per-shard slack trees (down: -inf)
-  std::size_t route_seq_{0};      ///< round-robin arrival counter
+  PmSlackTree tree_;              ///< admissibility keys (down: -inf)
   std::vector<VmSpec> scratch_;   ///< hosted specs for the exact check
 };
 

@@ -14,14 +14,13 @@ OnlineConsolidator::OnlineConsolidator(std::vector<PmSpec> pms,
     : options_(options),
       fleet_(std::move(pms),
              MapCalTable(options.max_vms_per_pm, initial_params, options.rho,
-                         options.method),
-             options.sharded) {
+                         options.method)) {
   options_.validate();
 }
 
 std::optional<VmHandle> OnlineConsolidator::add_vm(const VmSpec& vm) {
   vm.validate();
-  const auto pm = fleet_.first_fit(vm, fleet_.next_home());
+  const auto pm = fleet_.first_fit(vm);
   if (!pm) return std::nullopt;
   return VmHandle{fleet_.place(vm, *pm)};
 }
@@ -37,7 +36,7 @@ std::vector<std::optional<VmHandle>> OnlineConsolidator::add_batch(
   const std::vector<std::size_t> order =
       queuing_ffd_order(batch, options_.cluster_buckets);
   for (std::size_t idx : order) {
-    const auto pm = fleet_.first_fit(batch[idx], fleet_.next_home());
+    const auto pm = fleet_.first_fit(batch[idx]);
     if (pm) handles[idx] = VmHandle{fleet_.place(batch[idx], *pm)};
   }
   return handles;
@@ -100,8 +99,7 @@ std::size_t OnlineConsolidator::recalibrate(double tolerance) {
       // Count one migration either way (if nowhere fits the VM is
       // dropped, which callers can detect via vms_hosted()).
       ++migrations;
-      if (const auto target =
-              fleet_.first_fit(fleet_.slot(victim).spec, fleet_.next_home()))
+      if (const auto target = fleet_.first_fit(fleet_.slot(victim).spec))
         fleet_.attach(victim, *target);
       else
         fleet_.remove(victim);

@@ -9,10 +9,9 @@
 // recalculation of the rounded p_on and p_off."
 //
 // OnlineConsolidator runs the Section IV-E rules over a LiveFleet
-// (live_fleet.h), the slot table, hosted lists and sharded admit index it
-// shares with CloudController.  Arrivals are routed round-robin to a home
-// shard and spill across the others in fixed order (with the defaults —
-// one shard, no decision budget — exactly the linear first-fit scan).
+// (live_fleet.h), the slot table, hosted lists and slack tree it shares
+// with CloudController.  Every arrival takes the first PM that admits it
+// under Eq. (17), found by one slack-tree scan in PM index order.
 // It adds the Algorithm-2 visit order for batches and the
 // periodic recalibration: when the rounded parameters drift, the mapping
 // table is rebuilt and PMs whose reservation no longer fits are repaired
@@ -62,10 +61,9 @@ class OnlineConsolidator {
   void remove_vm(VmHandle h);
 
   /// Resizes a live VM to `new_spec`: it stays put while its PM still
-  /// satisfies Eq. (17), else it is routed like a fresh arrival (home =
-  /// its PM's shard); when no PM admits the new spec the original spec
-  /// stays on the original PM and false is returned.  The handle stays
-  /// valid in every case.
+  /// satisfies Eq. (17), else it is placed like a fresh arrival; when no
+  /// PM admits the new spec the original spec stays on the original PM
+  /// and false is returned.  The handle stays valid in every case.
   bool resize_vm(VmHandle h, const VmSpec& new_spec);
 
   /// Recomputes the rounded (p_on, p_off) from the VMs currently hosted;

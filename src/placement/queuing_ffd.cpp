@@ -43,7 +43,7 @@ void QueuingFfdOptions::validate() const {
   BURSTQ_REQUIRE(rho >= 0.0 && rho < 1.0, "rho must lie in [0, 1)");
   BURSTQ_REQUIRE(max_vms_per_pm >= 1, "d must be at least 1");
   BURSTQ_REQUIRE(cluster_buckets >= 1, "need at least one cluster bucket");
-  sharded.validate();
+  BURSTQ_REQUIRE(sharded.shards == 1, "placement uses one PM shard");
 }
 
 namespace {
@@ -109,8 +109,6 @@ PlacementResult run_placement(const ProblemInstance& inst,
         // one O(n) validation walk per call.
         return detail::first_fit_place_reservation_validated(inst, order,
                                                              table);
-      case PlacementEngine::kSharded:
-        return sharded_place_reservation(inst, order, table, options.sharded);
       case PlacementEngine::kNaive:
         break;
     }

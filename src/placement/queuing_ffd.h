@@ -17,7 +17,6 @@
 
 #include "placement/first_fit.h"
 #include "placement/placement.h"
-#include "placement/sharded.h"
 #include "placement/spec.h"
 #include "queuing/mapcal.h"
 
@@ -28,11 +27,15 @@ enum class RoundingPolicy { kMean, kConservative };
 /// Which first-fit driver Algorithm 2 uses.  kIncremental descends a
 /// per-PM slack tree (O(log m) per VM, see incremental.h) and produces
 /// placements bit-identical to kNaive, the straight O(m)-scan reference
-/// driver kept for verification and benchmarking.  kSharded partitions
-/// the PM fleet and places in parallel (sharded.h); with one shard it is
-/// bit-identical to kIncremental, and its results never depend on the
-/// thread count.
-enum class PlacementEngine { kIncremental, kNaive, kSharded };
+/// driver kept for verification and benchmarking.
+enum class PlacementEngine { kIncremental, kNaive };
+
+/// The one field left of the retired sharded engine's options.
+/// perfbench/src/ctrl_churn.cpp still assigns it; validate() rejects
+/// any value but 1, so it configures nothing.
+struct ShardedOptions {
+  std::size_t shards{1};
+};
 
 /// Rounds per-VM switch probabilities to one uniform pair (Section IV-E).
 OnOffParams round_uniform_params(const std::vector<VmSpec>& vms,
@@ -46,7 +49,7 @@ struct QueuingFfdOptions {
   RoundingPolicy rounding{RoundingPolicy::kMean};
   bool use_best_fit{false};        ///< ablation: best-fit instead of first-fit
   PlacementEngine engine{PlacementEngine::kIncremental};
-  ShardedOptions sharded{};        ///< used when engine == kSharded
+  ShardedOptions sharded{};        ///< must stay {1}
 
   void validate() const;
 };

@@ -1,6 +1,7 @@
 #include "placement/spec.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.h"
 
@@ -9,7 +10,10 @@ namespace burstq {
 void VmSpec::validate() const {
   onoff.validate();
   BURSTQ_REQUIRE(rb >= 0.0, "VM normal demand Rb must be non-negative");
-  BURSTQ_REQUIRE(re >= 0.0, "VM spike size Re must be non-negative");
+  // Re sizes the reservation block and picks the VM's Re cluster, so it
+  // must be finite; an infinite Rb is legal (it simply never fits).
+  BURSTQ_REQUIRE(re >= 0.0 && std::isfinite(re),
+                 "VM spike size Re must be finite and non-negative");
 }
 
 void PmSpec::validate() const {

@@ -31,7 +31,8 @@ struct VmSpec {
     return rb + onoff.stationary_on_probability() * re;
   }
 
-  /// Validates non-negative sizes and legal switch probabilities.
+  /// Validates non-negative sizes (Re also finite) and legal switch
+  /// probabilities.
   void validate() const;
 };
 

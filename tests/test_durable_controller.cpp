@@ -399,7 +399,7 @@ struct FleetSection {
   std::vector<std::size_t> free_slots;
   std::vector<std::vector<std::size_t>> lists;
   std::vector<std::uint8_t> up;
-  std::size_t route_seq{0};
+  std::size_t arrivals{0};  ///< admissions + rejections
   std::vector<std::array<std::size_t, 3>> queue;  ///< slot, retries, next
   std::string tail;  ///< trackers, stats, SLO
 };
@@ -425,7 +425,7 @@ FleetSection split_fleet(const std::string& blob) {
   f.lists.resize(r.varint());
   for (auto& list : f.lists) list = r.size_vec();
   f.up = r.u8_vec();
-  f.route_seq = r.varint();
+  f.arrivals = r.varint();
   f.queue.resize(r.count());
   for (auto& q : f.queue)
     for (std::size_t& x : q) x = r.varint();
@@ -448,7 +448,7 @@ std::string join_fleet(const FleetSection& f) {
   w.varint(f.lists.size());
   for (const auto& list : f.lists) w.size_vec(list);
   w.u8_vec(f.up);
-  w.varint(f.route_seq);
+  w.varint(f.arrivals);
   w.varint(f.queue.size());
   for (const auto& q : f.queue)
     for (const std::size_t x : q) w.varint(x);
@@ -491,6 +491,7 @@ TEST(ControllerState, TruncatedBlobFailsLoudly) {
   const FleetSection good = split_fleet(fleet_blob);
   ASSERT_EQ(join_fleet(good), fleet_blob);
   ASSERT_EQ(good.lists[0], (std::vector<std::size_t>{0, 2}));
+  ASSERT_EQ(good.arrivals, 3u);
   const std::vector<void (*)(FleetSection&)> corruptions = {
       // A slot id past the tenant count in a PM list.
       [](FleetSection& f) { f.lists[0].push_back(f.tenants.size()); },
@@ -520,6 +521,8 @@ TEST(ControllerState, TruncatedBlobFailsLoudly) {
         f.tenants[2].pm_plus_one = 0;
         f.lists[0].pop_back();
       },
+      // An arrival count other than admissions + rejections.
+      [](FleetSection& f) { ++f.arrivals; },
   };
   for (const auto corrupt : corruptions) {
     FleetSection f = good;

@@ -1,4 +1,4 @@
-// Unit tests for ThreadPool and parallel_for.
+// Unit tests for parallel_for and the process-wide thread count.
 
 #include <gtest/gtest.h>
 
@@ -10,36 +10,6 @@
 
 namespace burstq {
 namespace {
-
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i)
-      pool.submit([&count] { count.fetch_add(1); });
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.thread_count(), 1u);
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   const std::size_t n = 10000;
@@ -73,39 +43,9 @@ TEST(ParallelFor, ResultsIndependentOfThreadCount) {
   EXPECT_EQ(compute(1), compute(7));
 }
 
-TEST(ParallelForWorkers, WorkerIndexInRangeAndAllIndicesCovered) {
-  const std::size_t n = 5000;
-  const std::size_t threads = 4;
-  std::vector<std::atomic<int>> hits(n);
-  std::atomic<bool> worker_out_of_range{false};
-  parallel_for_workers(
-      n,
-      [&](std::size_t i, std::size_t w) {
-        if (w >= threads) worker_out_of_range.store(true);
-        hits[i].fetch_add(1);
-      },
-      threads);
-  EXPECT_FALSE(worker_out_of_range.load());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ParallelForWorkers, SingleThreadReportsWorkerZeroInOrder) {
-  std::vector<std::size_t> order;
-  parallel_for_workers(
-      4,
-      [&](std::size_t i, std::size_t w) {
-        EXPECT_EQ(w, 0u);
-        order.push_back(i);
-      },
-      1);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
-}
-
 TEST(ThreadCount, OverrideWinsOverEverything) {
   set_thread_count_override(3);
   EXPECT_EQ(default_thread_count(), 3u);
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 3u);
   set_thread_count_override(0);  // clear
   EXPECT_GE(default_thread_count(), 1u);
 }

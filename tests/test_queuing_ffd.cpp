@@ -58,6 +58,12 @@ TEST(QueuingFfdOptions, Validation) {
   bad = QueuingFfdOptions{};
   bad.cluster_buckets = 0;
   EXPECT_THROW(bad.validate(), InvalidArgument);
+  // Placement runs on one PM shard; the field admits no other value.
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
+    bad = QueuingFfdOptions{};
+    bad.sharded.shards = shards;
+    EXPECT_THROW(bad.validate(), InvalidArgument);
+  }
   EXPECT_NO_THROW(QueuingFfdOptions{}.validate());
 }
 

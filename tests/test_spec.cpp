@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
+#include "common/rng.h"
+#include "core/controller.h"
+#include "placement/online.h"
+#include "placement/queuing_ffd.h"
 #include "placement/spec.h"
 
 namespace burstq {
@@ -25,6 +31,30 @@ TEST(VmSpec, Validation) {
   EXPECT_THROW(neg_re.validate(), InvalidArgument);
   VmSpec bad_p{OnOffParams{0.0, 0.1}, 1.0, 1.0};
   EXPECT_THROW(bad_p.validate(), InvalidArgument);
+}
+
+// Re = +inf would turn the Re-bucket width into inf and a bucket index
+// into a NaN cast to size_t, so every entry point rejects it up front.
+// Rb = +inf stays legal: such a VM never fits and ends up unplaced.
+TEST(VmSpec, InfiniteReIsRejectedAtEveryEntryPoint) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const OnOffParams p{0.1, 0.1};
+  const VmSpec bad{p, 4.0, inf};
+  EXPECT_THROW(bad.validate(), InvalidArgument);
+  EXPECT_NO_THROW((VmSpec{p, inf, 4.0}.validate()));
+
+  ProblemInstance inst;
+  inst.vms = {VmSpec{p, 4.0, 4.0}, bad};
+  inst.pms = {PmSpec{100.0}};
+  EXPECT_THROW((void)queuing_ffd(inst), InvalidArgument);
+
+  OnlineConsolidator online({PmSpec{100.0}}, QueuingFfdOptions{});
+  EXPECT_THROW((void)online.add_vm(bad), InvalidArgument);
+  EXPECT_EQ(online.vms_hosted(), 0u);
+
+  CloudController ctl({PmSpec{100.0}}, ControllerConfig{}, Rng(1));
+  EXPECT_THROW((void)ctl.admit(bad), InvalidArgument);
+  EXPECT_EQ(ctl.stats().admissions + ctl.stats().rejections, 0u);
 }
 
 TEST(PmSpec, Validation) {
